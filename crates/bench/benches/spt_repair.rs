@@ -9,13 +9,19 @@
 //! * `repair_single_edge` — repair of a pre-cloned tree; the clone happens
 //!   in the untimed batch setup, so this is the pure algorithmic cost the
 //!   bench gate holds ≥ 5× faster than `full_tree` on `powerlaw_5000`.
-//! * `clone_repair` — clone + repair in the timed routine: the honest
-//!   end-to-end cost the base-path oracles pay per `with_spt_under` call.
+//! * `clone_repair` — clone + repair in the timed routine with the
+//!   generic `Vec<Vec>` engine, which the base-path stores ran per
+//!   `with_spt_under` call before the CSR kernel.
+//! * `csr_repair` — the same failure through the CSR kernel
+//!   ([`CsrGraph::repair_tree`]: clone + repair over precomputed weights
+//!   and a failure bitmask), the full-tree path the stores run now; the
+//!   bench gate holds it ≥ 1.5× faster than `clone_repair` on
+//!   `powerlaw_5000`.
 
 use rbpc_bench::{criterion_group, criterion_main, BatchSize, Criterion};
 use rbpc_graph::{
-    repair_after_failure, shortest_path_tree, CostModel, EdgeId, FailureSet, Metric, NodeId,
-    ShortestPathTree,
+    repair_after_failure, shortest_path_tree, CostModel, CsrGraph, EdgeId, FailureMask, FailureSet,
+    Metric, NodeId, ShortestPathTree,
 };
 use rbpc_topo::{gnm_connected, internet_like_scaled};
 use std::hint::black_box;
@@ -71,6 +77,11 @@ fn bench_spt_repair(c: &mut Criterion) {
                 repair_after_failure(&mut tree, black_box(&view), &model, failed);
                 tree
             })
+        });
+        let csr = CsrGraph::new(graph, &model);
+        let mask = FailureMask::from_set(&csr, &failures);
+        g.bench_function(format!("{name}/csr_repair"), |b| {
+            b.iter(|| csr.repair_tree(&base, black_box(&mask)).0)
         });
     }
     g.finish();

@@ -39,18 +39,21 @@ pub struct BenchResult {
 }
 
 impl BenchResult {
-    /// Renders the result as one JSON object (a `BENCH_rbpc.json` line).
+    /// Renders the result as one JSON object (a `BENCH_rbpc.json` line),
+    /// stamped with the host's available parallelism (`nproc`).
     pub fn to_json_line(&self) -> String {
+        let nproc = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
         format!(
             "{{\"bench\":\"{}\",\"median_ns\":{:.1},\"p95_ns\":{:.1},\
-             \"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters\":{}}}",
+             \"min_ns\":{:.1},\"max_ns\":{:.1},\"samples\":{},\"iters\":{},\"nproc\":{}}}",
             self.name,
             self.median_ns,
             self.p95_ns,
             self.min_ns,
             self.max_ns,
             self.samples,
-            self.iters
+            self.iters,
+            nproc
         )
     }
 }
@@ -338,5 +341,6 @@ mod tests {
         assert!(line.contains("\"median_ns\":1234.5"));
         assert!(line.contains("\"p95_ns\":2000.0"));
         assert!(line.contains("\"iters\":64"));
+        assert!(line.contains("\"nproc\":"));
     }
 }

@@ -19,8 +19,8 @@
 //! given `(metric, seed)`.
 
 use rbpc_graph::{
-    par_all_sources, repair_after_failures, shortest_path_tree, CostModel, EdgeId, FailureSet,
-    Graph, NodeId, ParStats, Path, PathCost, ShortestPathTree,
+    par_all_sources_csr, shortest_path_tree, CostModel, CsrGraph, DijkstraScratch, FailureMask,
+    FailureSet, Graph, NodeId, ParStats, Path, PathCost, RepairWork, ShortestPathTree,
 };
 use rbpc_obs::{obs_count, obs_record, obs_span, obs_trace};
 use std::collections::BTreeMap;
@@ -67,43 +67,70 @@ pub(crate) fn record_par_stats(stats: &ParStats) {
     let _ = stats;
 }
 
-/// Repairs a clone of `base` to reflect `failures`, via
-/// [`repair_after_failures`] — the shared fast path behind
-/// [`BasePathOracle::with_spt_under`] for oracles that store unfailed
-/// trees. The caller must have ruled out a failed `source` (not
-/// expressible as a repair).
-pub(crate) fn repaired_tree(
-    graph: &Graph,
-    model: &CostModel,
-    base: &ShortestPathTree,
-    failures: &FailureSet,
-) -> ShortestPathTree {
-    // A node failure is equivalent to failing all of its incident edges;
-    // the dead node itself never re-attaches because the view masks them.
-    let mut edges: Vec<EdgeId> = failures.failed_edges().collect();
-    for v in failures.failed_nodes() {
-        edges.extend(graph.neighbors(v).map(|h| h.edge));
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    let view = failures.view(graph);
-    let _span = obs_span!("spt.repair.ns");
-    let mut tree = base.clone();
-    let stats = repair_after_failures(&mut tree, &view, model, &edges);
-    obs_record!("spt.repair.nodes_touched", stats.nodes_touched as u64);
-    tree
-}
-
-/// Rebuilds a tree from scratch over the failed view — the slow path used
-/// when no unfailed tree is available or the source itself is failed.
-pub(crate) fn rebuilt_tree(
-    graph: &Graph,
-    model: &CostModel,
+/// Runs `f` with `source`'s tree under `failures`, for a store that holds
+/// unfailed trees over `csr`: the shared fast path behind every store's
+/// [`BasePathOracle::with_spt_under`]. The stored tree is repaired with
+/// [`CsrGraph::repair_tree`] (recorded under `spt.repair.*`); a failed
+/// source needs no stored tree at all.
+pub(crate) fn with_spt_under_csr<O: BasePathOracle, R>(
+    store: &O,
+    csr: &CsrGraph,
     source: NodeId,
     failures: &FailureSet,
-) -> ShortestPathTree {
-    let _span = obs_span!("spt.rebuild.ns");
-    shortest_path_tree(&failures.view(graph), model, source)
+    f: impl FnOnce(&ShortestPathTree) -> R,
+) -> R {
+    if failures.is_empty() {
+        return store.with_spt(source, f);
+    }
+    let mask = FailureMask::from_set(csr, failures);
+    if mask.node_failed(source) {
+        // Returns the all-unreachable tree before touching the scratch.
+        return f(&csr.full_tree_masked(source, Some(&mask), &mut DijkstraScratch::new(0)));
+    }
+    store.with_spt(source, |base| {
+        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
+        let tree = {
+            let _span = obs_span!("spt.repair.ns");
+            let (tree, work) = csr.repair_tree(base, &mask);
+            record_repair_work(work);
+            tree
+        };
+        f(&tree)
+    })
+}
+
+/// The canonical `s → t` path under `failures`, for a store that holds
+/// unfailed trees over `csr`: the shared fast path behind every store's
+/// [`BasePathOracle::path_under`]. The repair stops once `t` settles and
+/// clones no tree ([`CsrGraph::repair_path`]).
+pub(crate) fn path_under_csr<O: BasePathOracle>(
+    store: &O,
+    csr: &CsrGraph,
+    s: NodeId,
+    t: NodeId,
+    failures: &FailureSet,
+) -> Option<Path> {
+    if failures.is_empty() {
+        return store.base_path(s, t);
+    }
+    let mask = FailureMask::from_set(csr, failures);
+    if mask.node_failed(s) || mask.node_failed(t) {
+        return None;
+    }
+    store.with_spt(s, |base| {
+        let _t = obs_trace!("spt.repair", cat: "lookup", source = s.index());
+        let _span = obs_span!("spt.repair.ns");
+        let (path, work) = csr.repair_path(base, &mask, t);
+        record_repair_work(work);
+        path
+    })
+}
+
+fn record_repair_work(work: RepairWork) {
+    obs_record!("spt.repair.nodes_touched", work.nodes_touched as u64);
+    obs_record!("spt.repair.settled", work.settled as u64);
+    // Silence unused-variable lint when the obs feature is off.
+    let _ = work;
 }
 
 /// The provisioned base set: one canonical shortest path per ordered pair.
@@ -129,11 +156,10 @@ pub trait BasePathOracle {
     /// links go down.
     ///
     /// The default implementation rebuilds from scratch (recorded under the
-    /// `spt.rebuild.ns` histogram). [`DenseBasePaths`] and
-    /// [`LazyBasePaths`] override it to *repair* their cached unfailed tree
-    /// incrementally (`spt.repair.ns` / `spt.repair.nodes_touched`), which
-    /// yields a bit-identical tree because padded costs make shortest paths
-    /// unique — see [`rbpc_graph::repair_after_failures`].
+    /// `spt.rebuild.ns` histogram). Every store overrides it to *repair*
+    /// its unfailed tree with [`CsrGraph::repair_tree`] (`spt.repair.ns` /
+    /// `spt.repair.nodes_touched` / `spt.repair.settled`), which yields a
+    /// bit-identical tree because padded costs make shortest paths unique.
     ///
     /// # Panics
     ///
@@ -147,16 +173,18 @@ pub trait BasePathOracle {
         if failures.is_empty() {
             return self.with_spt(source, f);
         }
-        f(&rebuilt_tree(
-            self.graph(),
-            self.cost_model(),
-            source,
-            failures,
-        ))
+        let tree = {
+            let _span = obs_span!("spt.rebuild.ns");
+            shortest_path_tree(&failures.view(self.graph()), self.cost_model(), source)
+        };
+        f(&tree)
     }
 
     /// The canonical shortest path from `s` to `t` over the failed view,
     /// or `None` if the failures disconnect the pair.
+    ///
+    /// Every store overrides this with [`CsrGraph::repair_path`], which
+    /// stops repairing once `t` settles and clones no tree.
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
         self.with_spt_under(s, failures, |spt| spt.path_to(t))
     }
@@ -210,6 +238,7 @@ pub trait BasePathOracle {
 pub struct DenseBasePaths {
     graph: Graph,
     model: CostModel,
+    csr: CsrGraph,
     trees: Vec<ShortestPathTree>,
 }
 
@@ -219,7 +248,7 @@ impl DenseBasePaths {
     ///
     /// The trees are bit-identical for every thread count (padded costs
     /// make them canonical), so parallel provisioning is an invisible
-    /// speedup — see [`rbpc_graph::par_all_sources`].
+    /// speedup — see [`rbpc_graph::par_all_sources_csr`].
     pub fn build(graph: Graph, model: CostModel) -> Self {
         Self::build_with_threads(graph, model, default_threads())
     }
@@ -229,11 +258,13 @@ impl DenseBasePaths {
     pub fn build_with_threads(graph: Graph, model: CostModel, threads: usize) -> Self {
         let _span = obs_span!("core.provision.build.ns");
         let sources: Vec<NodeId> = graph.nodes().collect();
-        let (trees, stats) = par_all_sources(&graph, &model, &sources, threads);
+        let csr = CsrGraph::new(&graph, &model);
+        let (trees, stats) = par_all_sources_csr(&csr, None, &sources, threads);
         record_par_stats(&stats);
         DenseBasePaths {
             graph,
             model,
+            csr,
             trees,
         }
     }
@@ -267,20 +298,11 @@ impl BasePathOracle for DenseBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            // Not expressible as a repair; the rebuild early-exits anyway.
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(
-            &self.graph,
-            &self.model,
-            &self.trees[source.index()],
-            failures,
-        ))
+        with_spt_under_csr(self, &self.csr, source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        path_under_csr(self, &self.csr, s, t, failures)
     }
 }
 
@@ -294,6 +316,7 @@ impl BasePathOracle for DenseBasePaths {
 pub struct LazyBasePaths {
     graph: Graph,
     model: CostModel,
+    csr: CsrGraph,
     cache: Mutex<LazyCache>,
     capacity: usize,
     evicted: std::sync::atomic::AtomicU64,
@@ -322,6 +345,7 @@ impl LazyBasePaths {
     pub fn with_capacity(graph: Graph, model: CostModel, capacity: usize) -> Self {
         assert!(capacity >= 1, "cache capacity must be positive");
         LazyBasePaths {
+            csr: CsrGraph::new(&graph, &model),
             graph,
             model,
             cache: Mutex::new(LazyCache::default()),
@@ -413,17 +437,13 @@ impl BasePathOracle for LazyBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        // Repair a clone of the cached unfailed tree; the (transient)
-        // failed tree is never cached, so the cache stays canonical.
-        let base = self.tree(source);
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(&self.graph, &self.model, &base, failures))
+        // The (transient) failed tree is never cached, so the cache stays
+        // canonical.
+        with_spt_under_csr(self, &self.csr, source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        path_under_csr(self, &self.csr, s, t, failures)
     }
 }
 
@@ -447,6 +467,10 @@ impl<O: BasePathOracle> BasePathOracle for &O {
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         (**self).with_spt_under(source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        (**self).path_under(s, t, failures)
     }
 }
 
@@ -554,6 +578,31 @@ mod tests {
         let oracle = DenseBasePaths::build(g, model());
         assert_eq!(takes_oracle(&oracle), 5);
         assert_eq!(takes_oracle(&&oracle), 5);
+
+        // The blanket impl must forward `path_under` itself, not fall back
+        // to the trait default (which goes through `with_spt_under`).
+        struct Spy<'a>(&'a DenseBasePaths, std::cell::Cell<usize>);
+        impl BasePathOracle for Spy<'_> {
+            fn graph(&self) -> &Graph {
+                self.0.graph()
+            }
+            fn cost_model(&self) -> &CostModel {
+                self.0.cost_model()
+            }
+            fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
+                self.0.with_spt(source, f)
+            }
+            fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+                self.1.set(self.1.get() + 1);
+                self.0.path_under(s, t, failures)
+            }
+        }
+        fn path_via<O: BasePathOracle>(o: O) -> Option<Path> {
+            o.path_under(0.into(), 4.into(), &FailureSet::of_edge(0.into()))
+        }
+        let spy = Spy(&oracle, std::cell::Cell::new(0));
+        let _ = path_via(&&spy);
+        assert_eq!(spy.1.get(), 1);
     }
 
     #[test]
@@ -582,6 +631,11 @@ mod tests {
             dense.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "dense, {s}"));
             lazy.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "lazy, {s}"));
             check(&dense, &failures, s, &want);
+            for t in g.nodes() {
+                let path = want.path_to(t);
+                assert_eq!(dense.path_under(s, t, &failures), path, "dense, {s} -> {t}");
+                assert_eq!(lazy.path_under(s, t, &failures), path, "lazy, {s} -> {t}");
+            }
         }
     }
 

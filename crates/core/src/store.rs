@@ -40,11 +40,11 @@
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
 use crate::basepaths::{
-    lock_unpoisoned, rebuilt_tree, record_par_stats, repaired_tree, BasePathOracle, DenseBasePaths,
-    LazyBasePaths,
+    lock_unpoisoned, path_under_csr, record_par_stats, with_spt_under_csr, BasePathOracle,
+    DenseBasePaths, LazyBasePaths,
 };
 use rbpc_graph::{
-    par_all_sources_csr, CostModel, CsrGraph, FailureSet, Graph, NodeId, ShortestPathTree,
+    par_all_sources_csr, CostModel, CsrGraph, FailureSet, Graph, NodeId, Path, ShortestPathTree,
 };
 use rbpc_obs::{obs_count, obs_span, obs_trace};
 use std::collections::BTreeMap;
@@ -215,7 +215,7 @@ impl ShardCache {
 /// source implicitly:
 ///
 /// * `base_path(s, t)` walks `parent[]` up from `t` (materializing one
-///   transient [`Path`](rbpc_graph::Path) of `O(len)` nodes);
+///   transient [`Path`] of `O(len)` nodes);
 /// * `base_dist`/`base_cost` are single array reads;
 /// * greedy decomposition's `is_tree_step` is two array reads.
 ///
@@ -442,19 +442,13 @@ impl BasePathOracle for ShardedBasePaths {
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        if failures.node_failed(source) {
-            // Not expressible as a repair; the rebuild early-exits anyway.
-            return f(&rebuilt_tree(&self.graph, &self.model, source, failures));
-        }
-        // Repair a clone of the resident unfailed tree; the transient
-        // failed tree is never cached, so the store stays canonical.
-        let shard = self.shard(source);
-        let base = &shard.trees[source.index() - shard.first as usize];
-        let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
-        f(&repaired_tree(&self.graph, &self.model, base, failures))
+        // The transient failed tree is never cached, so the store stays
+        // canonical.
+        with_spt_under_csr(self, &self.csr, source, failures, f)
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        path_under_csr(self, &self.csr, s, t, failures)
     }
 }
 

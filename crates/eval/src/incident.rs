@@ -18,7 +18,7 @@
 //! storm schedule for its window.
 
 use crate::suite::{standard_suite, AnyOracle, EvalScale};
-use rbpc_core::Restorer;
+use rbpc_core::{BasePathOracle, Restorer};
 use rbpc_graph::{CostModel, EdgeId, FailureSet, Graph, Metric, NodeId};
 use rbpc_obs::json::{self, JsonValue};
 use rbpc_obs::{json_escape, FlightKind, FlightRecord};
@@ -311,16 +311,30 @@ impl ReplayReport {
     }
 }
 
-/// Rebuilds a [`FailureSet`] from a record's id lists.
-fn failure_set_of(record: &FlightRecord) -> FailureSet {
+/// Rebuilds a [`FailureSet`] from a record's id lists, checking every id
+/// against `graph` (the ids come from a file).
+fn failure_set_of(record: &FlightRecord, graph: &Graph) -> Result<FailureSet, String> {
+    let (m, n) = (graph.edge_count() as u64, graph.node_count() as u64);
     let mut set = FailureSet::new();
     for &e in &record.failed_edges {
+        if e >= m {
+            return Err(format!(
+                "record seq {}: failed edge id {e} is out of range (the graph has {m} edges)",
+                record.seq
+            ));
+        }
         set.fail_edge(EdgeId::new(e as usize));
     }
-    for &n in &record.failed_nodes {
-        set.fail_node(NodeId::new(n as usize));
+    for &v in &record.failed_nodes {
+        if v >= n {
+            return Err(format!(
+                "record seq {}: failed node id {v} is out of range (the graph has {n} nodes)",
+                record.seq
+            ));
+        }
+        set.fail_node(NodeId::new(v as usize));
     }
-    set
+    Ok(set)
 }
 
 /// Replays an incident: rebuilds the topology and oracle from the
@@ -337,7 +351,8 @@ fn failure_set_of(record: &FlightRecord) -> FailureSet {
 ///
 /// # Errors
 ///
-/// Topology rebuild failures. Divergence is *data*, not an error — check
+/// Topology rebuild failures, and failed edge or node ids outside the
+/// rebuilt graph. Divergence is *data*, not an error — check
 /// [`ReplayReport::is_clean`].
 pub fn replay_incident(
     header: &IncidentHeader,
@@ -373,6 +388,7 @@ pub fn replay_incident(
             "seq {} (window {}, {} -> {})",
             rec.seq, rec.tick, rec.src, rec.dst
         );
+        let failures = failure_set_of(rec, oracle.graph())?;
         if let Some(scheduled) = storm.get(&rec.tick) {
             if rec.failed_nodes.is_empty() && &&rec.failed_edges != scheduled {
                 report.mismatches.push(format!(
@@ -382,7 +398,6 @@ pub fn replay_incident(
                 continue;
             }
         }
-        let failures = failure_set_of(rec);
         let replayed = restorer.restore(
             NodeId::new(rec.src as usize),
             NodeId::new(rec.dst as usize),

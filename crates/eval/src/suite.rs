@@ -1,7 +1,7 @@
 //! The evaluated networks and oracle selection.
 
 use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, LazyBasePaths, ShardedBasePaths};
-use rbpc_graph::{CostModel, Graph, Metric, NodeId, ShortestPathTree};
+use rbpc_graph::{CostModel, FailureSet, Graph, Metric, NodeId, Path, ShortestPathTree};
 use rbpc_topo::{
     as_graph_like, ba_graph_clustered, internet_like, internet_like_scaled, isp_topology,
     IspParams, INTERNET_TRIAD_PCT,
@@ -174,7 +174,7 @@ impl BasePathOracle for AnyOracle {
     fn with_spt_under<R>(
         &self,
         source: NodeId,
-        failures: &rbpc_graph::FailureSet,
+        failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
         // Forward explicitly so every variant keeps its incremental-repair
@@ -183,6 +183,15 @@ impl BasePathOracle for AnyOracle {
             AnyOracle::Dense(o) => o.with_spt_under(source, failures, f),
             AnyOracle::Lazy(o) => o.with_spt_under(source, failures, f),
             AnyOracle::Sharded(o) => o.with_spt_under(source, failures, f),
+        }
+    }
+
+    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
+        // Likewise for the targeted repair, which stops once `t` settles.
+        match self {
+            AnyOracle::Dense(o) => o.path_under(s, t, failures),
+            AnyOracle::Lazy(o) => o.path_under(s, t, failures),
+            AnyOracle::Sharded(o) => o.path_under(s, t, failures),
         }
     }
 }
@@ -272,19 +281,38 @@ mod tests {
     }
 
     #[test]
+    // The double borrow deliberately exercises the `&O` blanket impl.
+    #[allow(clippy::needless_borrows_for_generic_args)]
     fn any_oracle_with_spt_under_repairs_like_rebuild() {
         let case = &standard_suite(EvalScale::Quick, 3)[0];
-        let oracle = case.oracle(3);
-        let mut failures = rbpc_graph::FailureSet::new();
+        let model = CostModel::new(case.metric, 3);
+        let g = &case.graph;
+        let variants = [
+            AnyOracle::Dense(DenseBasePaths::build_with_threads(g.clone(), model, 2)),
+            AnyOracle::Lazy(LazyBasePaths::with_capacity(g.clone(), model, 4)),
+            AnyOracle::Sharded(ShardedBasePaths::with_budget(g.clone(), model, 8, 4, 2)),
+        ];
+        let mut failures = FailureSet::new();
         failures.fail_edge(rbpc_graph::EdgeId::new(0));
         failures.fail_edge(rbpc_graph::EdgeId::new(9));
-        let model = *oracle.cost_model();
-        for s in [0usize, 5, 17] {
-            let want =
-                rbpc_graph::shortest_path_tree(&failures.view(oracle.graph()), &model, s.into());
-            oracle.with_spt_under(s.into(), &failures, |spt| {
-                assert_eq!(spt, &want, "source {s}")
-            });
+        failures.fail_node(NodeId::new(11));
+        let view = failures.view(g);
+        // Generic, so `&&store` reaches each variant through the `&O`
+        // blanket impl, which must forward both overrides.
+        fn path_via<O: BasePathOracle>(o: O, s: NodeId, t: NodeId, f: &FailureSet) -> Option<Path> {
+            o.path_under(s, t, f)
+        }
+        for oracle in &variants {
+            for s in [0usize, 5, 17] {
+                let s = NodeId::new(s);
+                let want = rbpc_graph::shortest_path_tree(&view, &model, s);
+                oracle.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "source {s}"));
+                for t in g.nodes() {
+                    let path = rbpc_graph::shortest_path(&view, &model, s, t);
+                    assert_eq!(oracle.path_under(s, t, &failures), path, "{s} -> {t}");
+                    assert_eq!(path_via(&&oracle, s, t, &failures), path, "&&, {s} -> {t}");
+                }
+            }
         }
     }
 

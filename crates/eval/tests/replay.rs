@@ -67,6 +67,43 @@ fn corrupted_plan_hash_fails_replay() {
 }
 
 #[test]
+fn out_of_range_failed_edge_is_an_error_not_a_panic() {
+    // The golden topology has 180 edges: id 180 names none of them.
+    let text = std::fs::read_to_string(GOLDEN).expect("read golden incident");
+    let mut hostile = String::new();
+    let mut done = false;
+    for line in text.lines() {
+        if !done && line.contains("\"kind\":\"restore\"") {
+            let (head, tail) = line
+                .split_once("\"failed_edges\":[")
+                .expect("failed_edges field");
+            hostile.push_str(&format!("{head}\"failed_edges\":[180,{tail}"));
+            done = true;
+        } else {
+            hostile.push_str(line);
+        }
+        hostile.push('\n');
+    }
+    assert!(done, "golden incident has no restore record");
+    let path =
+        std::env::temp_dir().join(format!("rbpc-replay-hostile-{}.jsonl", std::process::id()));
+    std::fs::write(&path, hostile).expect("write hostile incident");
+    let out = eval(&["replay", path.to_str().expect("utf-8 path")]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "must exit 1, not panic:\n{stderr}"
+    );
+    assert!(
+        stderr.contains("failed edge id 180 is out of range"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn capture_then_replay_round_trips() {
     // Full loop in one test: a smoke run with an impossible p99 budget
     // breaches at window 0, freezes the ring, and the frozen incident

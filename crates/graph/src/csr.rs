@@ -19,6 +19,10 @@
 //!   record per node (so a relaxation touches one cache line, not six
 //!   parallel arrays) plus a heap of 16-byte node-packed keys, with
 //!   epoch-stamped visited marks so resetting between runs is O(1);
+//! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] — the
+//!   failure-repair kernel every restoration runs: it re-settles only the
+//!   subtrees a failure detaches from a provisioned tree, and with a
+//!   target stops once the target settles (see the `repair` module);
 //! * [`batch`] — the batched multi-source kernel ([`SptBatchScratch`],
 //!   [`CsrGraph::full_tree_batch`]): structure-of-arrays scratch and an
 //!   indexed 4-ary decrease-key heap for provisioning sweeps, where one
@@ -37,8 +41,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 pub mod batch;
+mod repair;
 
 pub use batch::SptBatchScratch;
+pub use repair::RepairWork;
 
 /// A [`Graph`] + [`CostModel`] frozen into flat CSR arrays for batch
 /// shortest-path computation.
@@ -71,6 +77,9 @@ pub struct CsrGraph {
     /// 32-bytes-per-edge block (rather than four parallel arrays), so
     /// scanning it streams a single cache-line run.
     half: Vec<HalfEdge>,
+    /// Both endpoints of every undirected edge, so a repair finds the
+    /// tree edges a failure cuts without scanning every node.
+    ends: Vec<[u32; 2]>,
     model: CostModel,
 }
 
@@ -141,11 +150,16 @@ impl CsrGraph {
             }
             offsets.push(half.len() as u32);
         }
+        let ends = graph
+            .edges()
+            .map(|(_, r)| [r.u.index() as u32, r.v.index() as u32])
+            .collect();
         CsrGraph {
             n,
             m,
             offsets,
             half,
+            ends,
             model: *model,
         }
     }
@@ -166,6 +180,12 @@ impl CsrGraph {
     #[inline]
     pub fn model(&self) -> &CostModel {
         &self.model
+    }
+
+    /// The packed half-edges of node `u`.
+    #[inline]
+    fn half_edges(&self, u: usize) -> &[HalfEdge] {
+        &self.half[self.offsets[u] as usize..self.offsets[u + 1] as usize]
     }
 
     /// Structural self-check of the CSR arrays: offsets are monotone and
@@ -245,6 +265,11 @@ impl CsrGraph {
             }
             if w1 != w2 || b1 != b2 {
                 return Err(format!("edge {e} half-edges disagree on weight"));
+            }
+            if !matches!(self.ends.get(e), Some(&x) if x == [f1, t1] || x == [t1, f1]) {
+                return Err(format!(
+                    "edge {e} endpoint record does not match its half-edges"
+                ));
             }
         }
         Ok(())
@@ -639,6 +664,17 @@ fn bit_get(words: &[u64], i: u32) -> bool {
     words[(i >> 6) as usize] & (1u64 << (i & 63)) != 0
 }
 
+/// Calls `f` with the index of every set bit, in increasing order.
+fn for_each_bit(words: &[u64], mut f: impl FnMut(u32)) {
+    for (i, &word) in words.iter().enumerate() {
+        let mut w = word;
+        while w != 0 {
+            f(((i as u32) << 6) | w.trailing_zeros());
+            w &= w - 1;
+        }
+    }
+}
+
 #[inline]
 fn bit_set(words: &mut [u64], i: u32) {
     words[(i >> 6) as usize] |= 1u64 << (i & 63);
@@ -1029,6 +1065,9 @@ mod tests {
         let mut csr = CsrGraph::new(&g, &model);
         csr.offsets[1] = csr.offsets[2] + 1;
         assert!(csr.validate().is_err());
+        let mut csr = CsrGraph::new(&g, &model);
+        csr.ends[0] = [0, 4];
+        assert!(csr.validate().unwrap_err().contains("endpoint record"));
     }
 
     #[test]

@@ -1,0 +1,419 @@
+//! Failure repair of a provisioned tree on the CSR core.
+//!
+//! A restoration needs the source's shortest-path tree over the failed
+//! view, and the base-path stores already hold the source's *unfailed*
+//! tree. Edge and node deletions never shorten a path, so only the nodes
+//! whose tree path crosses a failed element can change (Ramalingam–Reps):
+//!
+//! 1. **Roots** — every endpoint whose tree edge is failed, or touches a
+//!    failed router, roots a detached subtree; the mask's set bits and
+//!    the graph's endpoint table find them without a scan over nodes.
+//! 2. **Region** — the union of those subtrees, collected through a
+//!    children index (sibling lists) that is refilled from the tree's
+//!    parent array into the scratch on every repair, in one pass; no
+//!    per-tree state is kept.
+//! 3. **Seeds** — each live region node enters at its best live neighbor
+//!    outside the region, whose distance is final.
+//! 4. **Settle** — Dijkstra restricted to the region, over the packed
+//!    half-edges (perturbed and base weights precomputed) with one
+//!    [`FailureMask`] bit test per half-edge, the packed [`heap_key`] and
+//!    the settled-stamp discipline of the full-tree kernel.
+//!
+//! With a target ([`CsrGraph::repair_path`]) the search stops as soon as
+//! the target settles. Padded costs make every shortest path unique (the
+//! restorable tiebreaking of Bodwin–Parter), so a settled node's parent is
+//! final and its parent is either settled too or outside the region: the
+//! path reads repaired entries from the scratch and everything else from
+//! the untouched base tree, with no tree clone. Without a target
+//! ([`CsrGraph::repair_tree`]) the whole region settles and its entries
+//! are written into a clone of the base tree.
+//!
+//! Both forms are **bit-identical** to
+//! [`repair_after_failures`](crate::repair_after_failures) over the
+//! equivalent [`FailureView`](crate::FailureView), and therefore to a full
+//! rebuild; `tests/spt_repair.rs` at the repository root pins this.
+
+use super::{for_each_bit, heap_key, CsrGraph, FailureMask, NodeRec, EMPTY_REC, NODE_MASK};
+use crate::spt::{NO_EDGE, NO_NODE};
+use crate::{EdgeId, NodeId, Path, ShortestPathTree};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+/// What one [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] call
+/// did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RepairWork {
+    /// Nodes in the detached region — the same count as
+    /// [`RepairStats::nodes_touched`](crate::RepairStats::nodes_touched).
+    /// Zero when no tree edge failed.
+    pub nodes_touched: usize,
+    /// Region nodes settled before the search stopped: all reachable
+    /// ones for a full tree, fewer when a target settles early.
+    pub settled: usize,
+}
+
+/// Working memory of the repair kernel, one per thread: a 48-byte
+/// record per node, the heap, the children index (`first_kid[p]` heads
+/// `p`'s children, `next_kid[v]` links `v` to its next sibling) and the
+/// region list.
+///
+/// Record stamps step by 4 per run: `epoch` marks a region node with no
+/// distance yet, `epoch + 1` a region node with a tentative distance,
+/// `epoch + 2` a settled one; anything below `epoch` is outside the
+/// region this run.
+#[derive(Debug, Default)]
+struct RepairArena {
+    epoch: u32,
+    recs: Vec<NodeRec>,
+    heap: BinaryHeap<Reverse<u128>>,
+    first_kid: Vec<u32>,
+    next_kid: Vec<u32>,
+    region: Vec<u32>,
+    stack: Vec<u32>,
+}
+
+impl RepairArena {
+    fn begin(&mut self, n: usize) {
+        if self.recs.len() < n {
+            self.recs.resize(n, EMPTY_REC);
+        }
+        self.epoch = self.epoch.wrapping_add(4);
+        if self.epoch == 0 {
+            // Wrapped after ~10^9 runs: old stamps could collide.
+            self.recs.iter_mut().for_each(|r| r.stamp = 0);
+            self.epoch = 4;
+        }
+        self.heap.clear();
+        self.region.clear();
+        self.stack.clear();
+    }
+
+    /// Whether `v` settled in the last run.
+    fn settled(&self, v: usize) -> bool {
+        self.recs[v].stamp == self.epoch + 2
+    }
+
+    /// Whether `v` was in the last run's detached region.
+    fn in_region(&self, v: usize) -> bool {
+        self.recs[v].stamp >= self.epoch
+    }
+
+    /// The repaired path to `t` after a targeted run: repaired entries
+    /// from the arena, the rest of the chain from `base`.
+    fn path_to(&self, base: &ShortestPathTree, t: NodeId) -> Option<Path> {
+        let ti = t.index();
+        if !self.settled(ti) && (self.in_region(ti) || !base.reachable(t)) {
+            return None;
+        }
+        let mut nodes = vec![t];
+        let mut edges = Vec::new();
+        let mut at = ti;
+        loop {
+            let (pn, pe) = if self.settled(at) {
+                (self.recs[at].parent_node, self.recs[at].parent_edge)
+            } else {
+                (base.parent_node[at], base.parent_edge[at])
+            };
+            if pn == NO_NODE {
+                break;
+            }
+            edges.push(EdgeId::new(pe as usize));
+            nodes.push(NodeId::new(pn as usize));
+            at = pn as usize;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path::from_parts_unchecked(nodes, edges))
+    }
+}
+
+/// Runs `f` with this thread's [`RepairArena`]; a re-entrant call gets a
+/// fresh one instead of panicking.
+fn with_arena<R>(f: impl FnOnce(&mut RepairArena) -> R) -> R {
+    thread_local! {
+        static ARENA: RefCell<RepairArena> = RefCell::new(RepairArena::default());
+    }
+    ARENA.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut arena) => f(&mut arena),
+        Err(_) => f(&mut RepairArena::default()),
+    })
+}
+
+impl CsrGraph {
+    /// The tree of `base.source()` over this graph with `mask` applied,
+    /// repaired from `base`, the canonical tree of the same source under
+    /// none (or a subset) of `mask`'s failures. Bit-identical to
+    /// [`full_tree_masked`](CsrGraph::full_tree_masked); a failed source
+    /// yields the all-unreachable tree.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` or `mask` was built for different graph
+    /// dimensions.
+    pub fn repair_tree(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+    ) -> (ShortestPathTree, RepairWork) {
+        self.check_repair_inputs(base, mask);
+        let source = base.source();
+        if mask.node_failed(source) {
+            return (
+                ShortestPathTree::unreachable(source, self.n),
+                RepairWork::default(),
+            );
+        }
+        with_arena(|arena| {
+            let work = self.repair_inner(base, mask, None, arena);
+            let mut tree = base.clone();
+            for &v in &arena.region {
+                let vi = v as usize;
+                if arena.settled(vi) {
+                    let r = &arena.recs[vi];
+                    tree.settle(
+                        NodeId::new(vi),
+                        r.dist,
+                        r.base,
+                        r.hops,
+                        Some((
+                            NodeId::new(r.parent_node as usize),
+                            EdgeId::new(r.parent_edge as usize),
+                        )),
+                    );
+                } else {
+                    tree.clear_node(vi);
+                }
+            }
+            (tree, work)
+        })
+    }
+
+    /// The canonical path from `base.source()` to `target` over this
+    /// graph with `mask` applied, or `None` if the failures cut it off.
+    /// The repair stops once `target` settles, and no tree is cloned.
+    /// Equal to `repair_tree(base, mask).0.path_to(target)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of range, or `base` or `mask` was built
+    /// for different graph dimensions.
+    pub fn repair_path(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+        target: NodeId,
+    ) -> (Option<Path>, RepairWork) {
+        self.check_repair_inputs(base, mask);
+        assert!(target.index() < self.n, "target {target} out of range");
+        if mask.node_failed(base.source()) || mask.node_failed(target) {
+            return (None, RepairWork::default());
+        }
+        with_arena(|arena| {
+            let work = self.repair_inner(base, mask, Some(target.index()), arena);
+            (arena.path_to(base, target), work)
+        })
+    }
+
+    fn check_repair_inputs(&self, base: &ShortestPathTree, mask: &FailureMask) {
+        assert_eq!(
+            base.node_count(),
+            self.n,
+            "tree covers {} nodes, graph has {}",
+            base.node_count(),
+            self.n
+        );
+        mask.check_dims(self.n, self.m);
+    }
+
+    /// The repair kernel: detaches the region below every failed tree
+    /// edge, seeds it from outside, and settles it — all of it, or until
+    /// `target` settles. Results stay in `arena`. The source must be
+    /// alive.
+    fn repair_inner(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+        target: Option<usize>,
+        arena: &mut RepairArena,
+    ) -> RepairWork {
+        arena.begin(self.n);
+        let ep = arena.epoch;
+        let (ep_seen, ep_done) = (ep + 1, ep + 2);
+        let RepairArena {
+            recs,
+            heap,
+            first_kid,
+            next_kid,
+            region,
+            stack,
+            ..
+        } = arena;
+
+        // Roots: the endpoints whose tree edge failed, and for a failed
+        // router the router itself plus every neighbor it parents.
+        for_each_bit(&mask.edges, |e| {
+            for x in self.ends[e as usize] {
+                if base.parent_edge[x as usize] == e {
+                    stack.push(x);
+                }
+            }
+        });
+        for_each_bit(&mask.nodes, |v| {
+            if base.parent_edge[v as usize] != NO_EDGE {
+                stack.push(v);
+            }
+            for he in self.half_edges(v as usize) {
+                if base.parent_edge[he.target as usize] == he.edge {
+                    stack.push(he.target);
+                }
+            }
+        });
+        if stack.is_empty() {
+            return RepairWork::default();
+        }
+
+        // The region: every subtree below a root, deduplicated by stamp.
+        first_kid.clear();
+        first_kid.resize(self.n, NO_NODE);
+        next_kid.resize(self.n, NO_NODE);
+        for (v, &p) in base.parent_node.iter().enumerate() {
+            if p != NO_NODE {
+                next_kid[v] = first_kid[p as usize];
+                first_kid[p as usize] = v as u32;
+            }
+        }
+        while let Some(v) = stack.pop() {
+            let vi = v as usize;
+            if recs[vi].stamp >= ep {
+                continue;
+            }
+            recs[vi].stamp = ep;
+            region.push(v);
+            let mut kid = first_kid[vi];
+            while kid != NO_NODE {
+                stack.push(kid);
+                kid = next_kid[kid as usize];
+            }
+        }
+
+        // Seeds: each live region node's best entry from outside the
+        // region, whose distances are final (deletions only lengthen).
+        for &a in region.iter() {
+            let ai = a as usize;
+            if mask.node_failed(NodeId::new(ai)) {
+                continue;
+            }
+            for he in self.half_edges(ai) {
+                let b = he.target as usize;
+                if recs[b].stamp >= ep
+                    || mask.half_edge_masked(he.edge, he.target)
+                    || base.dist[b] == u128::MAX
+                {
+                    continue;
+                }
+                let nd = base.dist[b] + he.weight;
+                if recs[ai].stamp == ep || nd < recs[ai].dist {
+                    recs[ai] = NodeRec {
+                        dist: nd,
+                        base: base.base_dist[b] + he.base,
+                        stamp: ep_seen,
+                        hops: base.hops[b] + 1,
+                        parent_node: he.target,
+                        parent_edge: he.edge,
+                    };
+                }
+            }
+            if recs[ai].stamp == ep_seen {
+                heap.push(Reverse(heap_key(recs[ai].dist, a)));
+            }
+        }
+
+        let stop = target.unwrap_or(usize::MAX);
+        let mut settled = 0usize;
+        // lint:hot: the settle loop — every restoration's repair runs here.
+        while let Some(Reverse(key)) = heap.pop() {
+            let u = (key & NODE_MASK) as usize;
+            if recs[u].stamp == ep_done {
+                continue;
+            }
+            recs[u].stamp = ep_done;
+            settled += 1;
+            let (d, ub, uh) = (recs[u].dist, recs[u].base, recs[u].hops);
+            debug_assert!(d >= base.dist[u], "a deletion shortened a path");
+            if u == stop {
+                break;
+            }
+            for he in self.half_edges(u) {
+                let vt = he.target;
+                let rec = &mut recs[vt as usize];
+                if rec.stamp < ep || rec.stamp == ep_done || mask.half_edge_masked(he.edge, vt) {
+                    continue;
+                }
+                let nd = d + he.weight;
+                if rec.stamp == ep || nd < rec.dist {
+                    *rec = NodeRec {
+                        dist: nd,
+                        base: ub + he.base,
+                        stamp: ep_seen,
+                        hops: uh + 1,
+                        // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
+                        parent_node: u as u32,
+                        parent_edge: he.edge,
+                    };
+                    // lint:allow(hot-path) — the thread's arena heap keeps its capacity across repairs; pushes are amortized alloc-free
+                    heap.push(Reverse(heap_key(nd, vt)));
+                }
+            }
+        }
+        RepairWork {
+            nodes_touched: region.len(),
+            settled,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{shortest_path_tree, CostModel, DetRng, FailureSet, Graph, Metric};
+
+    fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
+        let mut g = Graph::new(n);
+        let mut rng = DetRng::seed_from_u64(seed);
+        while g.edge_count() < m {
+            let a = rng.gen_range(0..n);
+            let b = rng.gen_range(0..n);
+            if a != b {
+                g.add_edge(a, b, rng.gen_range(1..=30u32)).unwrap();
+            }
+        }
+        g
+    }
+
+    #[test]
+    fn untouched_tree_and_failed_source() {
+        let g = random_graph(20, 50, 1);
+        let model = CostModel::new(Metric::Weighted, 2);
+        let csr = CsrGraph::new(&g, &model);
+        let base = shortest_path_tree(&g, &model, NodeId::new(0));
+        // A non-tree edge: nothing detaches.
+        let e = g
+            .edge_ids()
+            .find(|&e| {
+                let (u, v) = g.endpoints(e);
+                base.parent_edge(u) != Some(e) && base.parent_edge(v) != Some(e)
+            })
+            .expect("a non-tree edge");
+        let mask = FailureMask::from_set(&csr, &FailureSet::of_edge(e));
+        let (tree, work) = csr.repair_tree(&base, &mask);
+        assert_eq!((tree, work), (base.clone(), RepairWork::default()));
+        // A failed source: all-unreachable, like the masked rebuild.
+        let mut set = FailureSet::new();
+        set.fail_node(NodeId::new(0));
+        let mask = FailureMask::from_set(&csr, &set);
+        let (tree, _) = csr.repair_tree(&base, &mask);
+        assert!(g.nodes().all(|v| !tree.reachable(v)));
+        assert_eq!(csr.repair_path(&base, &mask, NodeId::new(3)).0, None);
+    }
+}

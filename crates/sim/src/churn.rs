@@ -13,9 +13,10 @@
 //!
 //! Every failure here exercises the incremental-repair fast path: the
 //! restoration schemes compute their backup routes through
-//! `BasePathOracle::with_spt_under`, which repairs the source's cached
-//! shortest-path tree instead of re-running Dijkstra (see
-//! [`rbpc_graph::repair_after_failures`]).
+//! `BasePathOracle::path_under` / `with_spt_under`, which repair the
+//! source's stored shortest-path tree on the CSR core instead of
+//! re-running Dijkstra (see [`rbpc_graph::CsrGraph::repair_path`]; the
+//! generic [`rbpc_graph::repair_after_failures`] is its reference).
 
 use crate::{outage_under, LatencyModel, Scheme};
 use rbpc_core::BasePathOracle;

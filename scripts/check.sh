@@ -64,6 +64,9 @@ cargo run -q -p rbpc-eval -- replay crates/eval/tests/golden/incident-smoke.json
 echo "== CSR / parallel determinism property test (release, 2-thread runs included)"
 cargo test --release --test csr_parallel -q
 
+echo "== SPT repair property test (release: CSR repair kernel == generic engine == rebuild)"
+cargo test --release --test spt_repair -q
+
 echo "== batched SPT kernel property test (release: bit-identical to scalar across masks/batches/threads)"
 cargo test --release --test spt_batch -q
 

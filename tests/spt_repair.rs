@@ -2,10 +2,15 @@
 //! recovery sequences on every suite topology family, the incrementally
 //! repaired tree must stay **bit-identical** to a full Dijkstra rebuild
 //! over the failed view — same perturbed distances, same parents, same hop
-//! counts. Uses the in-tree [`DetRng`], so it runs in offline builds
-//! (unlike the proptest-gated suites).
+//! counts. The CSR repair kernel every restoration runs
+//! ([`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`]) is held to the
+//! same standard against that engine. Uses the in-tree [`DetRng`], so it
+//! runs in offline builds (unlike the proptest-gated suites).
 
-use mpls_rbpc::graph::{shortest_path_tree, CostModel, DetRng, DynamicSpt, Graph, Metric, NodeId};
+use mpls_rbpc::graph::{
+    repair_after_failures, shortest_path_tree, CostModel, CsrGraph, DetRng, DynamicSpt, EdgeId,
+    FailureMask, FailureSet, Graph, Metric, NodeId, ShortestPathTree,
+};
 use mpls_rbpc::sim::{churn_sequence, ChurnEvent};
 use mpls_rbpc::topo::{gnm_connected, internet_like_scaled, isp_topology, IspParams};
 
@@ -80,4 +85,119 @@ fn repeated_flaps_of_tree_edges_stay_exact() {
         let want = shortest_path_tree(&spt.failures().view(&graph), &model, source);
         assert_eq!(spt.tree(), &want, "flap step {step} on edge {e:?}");
     }
+}
+
+/// Failure sets for the CSR kernel check from `source`'s tree: 1–3 edge
+/// failures (each a tree edge or a uniform pick, so most detach a
+/// subtree) and single failures of transit nodes (nodes with tree
+/// children).
+fn failure_sets(graph: &Graph, base: &ShortestPathTree, rng: &mut DetRng) -> Vec<FailureSet> {
+    let n = graph.node_count();
+    let mut sets = Vec::new();
+    for k in 1..=3 {
+        for _ in 0..3 {
+            let mut set = FailureSet::new();
+            while set.failed_edge_count() < k {
+                let tree_edge = base.parent_edge(NodeId::new(rng.gen_range(0..n)));
+                let e = match tree_edge {
+                    Some(e) if rng.gen_bool(0.5) => e,
+                    _ => EdgeId::new(rng.gen_range(0..graph.edge_count())),
+                };
+                set.fail_edge(e);
+            }
+            sets.push(set);
+        }
+    }
+    let children = base.children_flat();
+    let transit: Vec<NodeId> = graph
+        .nodes()
+        .filter(|&v| v != base.source() && children.count_of(v) > 0)
+        .collect();
+    for _ in 0..3 {
+        let mut set = FailureSet::new();
+        set.fail_node(transit[rng.gen_range(0..transit.len())]);
+        sets.push(set);
+    }
+    sets
+}
+
+/// Holds the CSR repair kernel to the generic engine and a rebuild from
+/// each of `sources`: the untargeted tree equals both, the region sizes
+/// agree, and for every target in the detached region the targeted
+/// path equals `path_to` on that tree (`None` when the target is cut
+/// off).
+fn assert_csr_repair_matches(name: &str, graph: &Graph, seed: u64, sources: &[usize]) {
+    let model = CostModel::new(Metric::Weighted, seed);
+    let csr = CsrGraph::new(graph, &model);
+    let mut rng = DetRng::seed_from_u64(seed);
+    for &source in sources {
+        let s = NodeId::new(source);
+        let base = shortest_path_tree(graph, &model, s);
+        for set in failure_sets(graph, &base, &mut rng) {
+            let case = format!("{name}: seed {seed}, source {source}, failures {set:?}");
+            let view = set.view(graph);
+            let mut links: Vec<EdgeId> = set.failed_edges().collect();
+            for v in set.failed_nodes() {
+                links.extend(graph.neighbors(v).map(|h| h.edge));
+            }
+            let mut reference = base.clone();
+            let stats = repair_after_failures(&mut reference, &view, &model, &links);
+
+            let mask = FailureMask::from_set(&csr, &set);
+            let (tree, work) = csr.repair_tree(&base, &mask);
+            assert_eq!(
+                tree, reference,
+                "{case}: CSR tree differs from the engine's"
+            );
+            assert_eq!(
+                tree,
+                shortest_path_tree(&view, &model, s),
+                "{case}: rebuild"
+            );
+            assert_eq!(
+                work.nodes_touched, stats.nodes_touched,
+                "{case}: region size"
+            );
+            assert!(work.settled <= work.nodes_touched, "{case}");
+            let never_shorter = graph.nodes().all(|v| {
+                tree.perturbed_dist(v).unwrap_or(u128::MAX)
+                    >= base.perturbed_dist(v).unwrap_or(u128::MAX)
+            });
+            assert!(never_shorter, "{case}: a failure shortened a path");
+
+            let detached = graph.nodes().filter(|&t| {
+                base.path_to(t).is_some_and(|p| {
+                    p.edges().iter().any(|&e| set.edge_failed(e))
+                        || p.nodes().iter().any(|&v| set.node_failed(v))
+                })
+            });
+            for t in detached {
+                let (path, w) = csr.repair_path(&base, &mask, t);
+                assert_eq!(path, tree.path_to(t), "{case}: path to {t}");
+                if !set.node_failed(t) {
+                    assert_eq!(w.nodes_touched, work.nodes_touched, "{case}: target {t}");
+                    assert!(w.settled <= work.settled, "{case}: target {t}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn csr_repair_matches_engine_on_isp() {
+    let graph = isp_topology(IspParams::default(), 11).graph;
+    let far = graph.node_count() - 1;
+    assert_csr_repair_matches("isp", &graph, 31, &[0, far]);
+}
+
+#[test]
+fn csr_repair_matches_engine_on_gnm_1000() {
+    let graph = gnm_connected(1_000, 3_000, 20, 12);
+    assert_csr_repair_matches("gnm_1000", &graph, 32, &[0, 500]);
+}
+
+#[test]
+fn csr_repair_matches_engine_on_power_law() {
+    let graph = internet_like_scaled(1_200, 13);
+    assert_csr_repair_matches("powerlaw_1200", &graph, 33, &[0, 600]);
 }
