@@ -1,4 +1,4 @@
-//! Micro-bench: the parallel provisioning engine — dense all-pairs oracle
+//! Micro-bench: the parallel provisioning engine — all-resident store
 //! builds and raw all-sources SPT batches at 1 vs 8 threads.
 //!
 //! The isp_200 rows sit *below* [`rbpc_graph::PAR_SERIAL_CUTOFF`], so
@@ -10,7 +10,7 @@
 //! runner bench-gate asserts their `threads_8` beats `threads_1` by ≥2×
 //! (the rule is skipped on smaller boxes), and the `sharded/` rows
 //! assert the same for whole-map provisioning through the implicit
-//! sharded store ([`ShardedBasePaths::prefetch`] over every source).
+//! bounded store ([`ShardedBasePaths::prefetch`] over every source).
 
 use rbpc_bench::{criterion_group, criterion_main, Criterion};
 use rbpc_core::{BasePathStore, DenseBasePaths, ShardedBasePaths};

@@ -26,15 +26,15 @@ fn bench_table2(c: &mut Criterion) {
             b.iter(|| table2_block(&isp.name, &oracle, black_box(class), black_box(&pairs), 4))
         });
     }
-    // Large-graph block through the lazy oracle.
+    // Large-graph block through the bounded store.
     let asg = &suite[3];
-    let lazy = asg.oracle(rbpc_bench::SEED);
+    let bounded = asg.oracle(rbpc_bench::SEED);
     let as_pairs = rbpc_bench::pairs(&asg.graph, asg.samples);
-    g.bench_function("as_graph/OneLink_lazy_oracle", |b| {
+    g.bench_function("as_graph/OneLink_bounded_store", |b| {
         b.iter(|| {
             table2_block(
                 &asg.name,
-                &lazy,
+                &bounded,
                 FailureClass::OneLink,
                 black_box(&as_pairs),
                 4,

@@ -27,7 +27,7 @@ pub fn isp_graph() -> Graph {
     isp_topology(IspParams::default(), SEED).graph
 }
 
-/// A dense oracle over the ISP with OSPF weights.
+/// An all-resident store over the ISP with OSPF weights.
 pub fn isp_oracle() -> DenseBasePaths {
     DenseBasePaths::build(isp_graph(), CostModel::new(Metric::Weighted, SEED))
 }

@@ -16,11 +16,11 @@
 //!
 //! # Modules
 //!
-//! * [`basepaths`] — the [`BasePathOracle`] abstraction with a dense
-//!   (precomputed all-pairs) and a lazy (on-demand, cached) implementation;
-//! * [`store`] — the [`BasePathStore`] residency/budget surface and the
-//!   implicit [`ShardedBasePaths`] store that provisions the paper's
-//!   40 377-node Internet router map under a bounded memory budget;
+//! * [`basepaths`] — the [`BasePathOracle`] query abstraction;
+//! * [`store`] — the one base-path store, [`BasePaths`], and its
+//!   [`BasePathStore`] residency/budget surface: all-resident when its
+//!   tree budget covers the graph (the paper's ISP), bounded behind an LRU
+//!   of shards otherwise (the 40 377-node Internet router map);
 //! * [`decompose`] — greedy longest-prefix decomposition (§4.1 of the
 //!   paper) and an optimal jump-graph search for comparison;
 //! * [`restore`] — source-router RBPC: compute the post-failure shortest
@@ -84,7 +84,7 @@ pub mod restore;
 pub mod store;
 pub mod theory;
 
-pub use basepaths::{default_threads, BasePathOracle, DenseBasePaths, LazyBasePaths};
+pub use basepaths::{default_threads, BasePathOracle};
 pub use churn::ChurnDriver;
 pub use decompose::{greedy_decompose, optimal_decompose, Concatenation, Segment, SegmentKind};
 pub use error::RestoreError;
@@ -98,6 +98,6 @@ pub use local::{edge_bypass, end_route, LocalRestoration};
 pub use provision::{ProvisionedDomain, TableReport};
 pub use restore::{destinations_through_edge, FailoverPlan, FecUpdate, Restoration, Restorer};
 pub use store::{
-    dense_store_bytes, directed_pairs, BasePathStore, ShardedBasePaths, ShardedStoreStats,
-    TREE_BYTES_PER_NODE,
+    dense_store_bytes, directed_pairs, BasePathStore, BasePaths, DenseBasePaths, ShardedBasePaths,
+    ShardedStoreStats, TREE_BYTES_PER_NODE,
 };

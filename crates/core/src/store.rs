@@ -1,17 +1,33 @@
-//! Implicit, sharded base-path storage — provisioning at paper scale.
+//! The base-path store: per-source shortest-path trees, held resident
+//! as far as a budget allows — provisioning from the ISP to paper scale.
 //!
-//! # Why a third storage shape
+//! # One store, residency from the budget
 //!
-//! The paper's largest topology, the Internet router map, has 40 377
-//! nodes and 101 659 links. Its all-pairs base set covers
-//! `n · (n − 1) ≈ 1.63 billion` directed pairs — materializing even one
-//! `Vec` of nodes per pair is out of the question, and holding one
-//! [`ShortestPathTree`] per source (the [`DenseBasePaths`] layout, 36
-//! bytes per node per tree) would cost `40 377² · 36 ≈ 59 GB`. The paper
+//! Theorem 3 needs one canonical shortest-path tree per source, and
+//! padded costs make that tree unique (see [`rbpc_graph::CostModel`]),
+//! so every way of holding the trees returns the same answers. What
+//! differs is how many trees stay in memory, and that is the only knob
+//! [`BasePaths`] exposes: a tree budget.
+//!
+//! * **Budget ≥ node count** — the all-resident store. Every tree, once
+//!   its shard is built (on first use or by
+//!   [`prefetch`](BasePathStore::prefetch)), stays in its source's slot
+//!   forever; a lookup takes no lock and does no LRU bookkeeping. [`BasePaths::build`] is this store with every tree
+//!   provisioned up front — right for the paper's ~200-node ISP.
+//! * **Budget < node count** — the bounded store: at most a budgeted
+//!   number of shards stay resident behind an LRU, and a lookup outside
+//!   them rebuilds its shard. Right for the 4 746-node AS graph and the
+//!   40 377-node Internet map.
+//!
+//! # Why the trees stay implicit
+//!
+//! The Internet router map has 40 377 nodes and 101 659 links. Its
+//! all-pairs base set covers `n · (n − 1) ≈ 1.63 billion` directed pairs
+//! — materializing even one `Vec` of nodes per pair is out of the
+//! question, and holding one [`ShortestPathTree`] per source (36 bytes
+//! per node per tree) would cost `40 377² · 36 ≈ 59 GB`. The paper
 //! sampled 40 pairs and moved on; we want the same protocol *and* sweeps
 //! the paper could not afford, under a memory budget we can state.
-//!
-//! # The implicit representation
 //!
 //! Nothing about RBPC needs per-pair storage. A shortest-path tree in
 //! `parent[]`/`dist[]` form already encodes the canonical base path of
@@ -22,35 +38,30 @@
 //! [`is_tree_step`] for greedy decomposition) read those arrays
 //! directly, so one resident tree answers `n − 1` pairs.
 //!
-//! [`ShardedBasePaths`] keeps the trees themselves implicit too: sources
-//! are grouped into fixed *shards* (contiguous index ranges), each shard
-//! is provisioned as one batch on the [`rbpc_graph::par`] thread pool
-//! (every worker reuses one `DijkstraScratch` arena across its trees),
-//! and at most a budgeted number of shards stay resident behind an LRU.
-//! A query outside the resident set rebuilds its shard — bit-identical
-//! by construction, because perturbed costs make every tree canonical
-//! (see [`rbpc_graph::CostModel`]).
+//! Sources are grouped into fixed *shards* (contiguous index ranges),
+//! each provisioned as one batch on the [`rbpc_graph::par`] thread pool
+//! (every worker reuses one `DijkstraScratch` arena across its trees).
+//! Rebuilding an evicted shard is bit-identical by construction.
 //!
-//! The [`BasePathStore`] trait exposes the residency/budget surface on
-//! every oracle, so `Restorer`, decomposition, and the sim/eval layers
-//! can be handed any of the three shapes and report what the store did.
+//! The [`BasePathStore`] trait exposes the residency/budget surface, so
+//! `Restorer`, decomposition, and the sim/eval layers can report what
+//! the store did.
 //!
 //! [`base_dist`]: ShortestPathTree::base_dist
 //! [`path_to`]: ShortestPathTree::path_to
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
-use crate::basepaths::{
-    lock_unpoisoned, path_under_csr, record_par_stats, with_spt_under_csr, BasePathOracle,
-    DenseBasePaths, LazyBasePaths,
-};
+use crate::basepaths::{default_threads, BasePathOracle};
 use rbpc_graph::{
-    par_all_sources_csr, CostModel, CsrGraph, FailureSet, Graph, NodeId, Path, ShortestPathTree,
+    par_all_sources_csr, CostModel, CsrGraph, DijkstraScratch, FailureMask, FailureSet, Graph,
+    NodeId, ParStats, Path, RepairWork, ShortestPathTree,
 };
-use rbpc_obs::{obs_count, obs_span, obs_trace};
+use rbpc_obs::{obs_count, obs_record, obs_span, obs_trace};
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Bytes one [`ShortestPathTree`] occupies per node: `dist` (u128) +
 /// `base_dist` (u64) + `hops`, `parent_edge`, `parent_node` (u32 each).
@@ -60,7 +71,7 @@ pub const TREE_BYTES_PER_NODE: usize = 16 + 8 + 4 + 4 + 4;
 /// Bytes a *dense* all-sources store would need on an `n`-node graph:
 /// one tree per source, [`TREE_BYTES_PER_NODE`] per node per tree. On
 /// the paper's 40 377-node router map this is ≈ 59 GB — the number that
-/// motivates the sharded store (see `docs/SCALE.md`).
+/// motivates the bounded store (see `docs/SCALE.md`).
 pub fn dense_store_bytes(n: usize) -> u128 {
     (n as u128) * (n as u128) * (TREE_BYTES_PER_NODE as u128)
 }
@@ -73,11 +84,8 @@ pub fn directed_pairs(n: usize) -> u128 {
 }
 
 /// The storage half of a base-path oracle: residency, budget, and batch
-/// provisioning. Every [`BasePathOracle`] in the workspace implements
-/// this, so callers can switch between the dense, lazy, and sharded
-/// shapes without touching the query side — and report, after a run,
-/// how much memory the base set actually held resident and how often
-/// the budget forced recomputation.
+/// provisioning — what a caller reports after a run: how much memory the
+/// base set held resident and how often the budget forced recomputation.
 pub trait BasePathStore: BasePathOracle {
     /// Shortest-path trees currently held in memory.
     fn resident_trees(&self) -> usize;
@@ -89,7 +97,7 @@ pub trait BasePathStore: BasePathOracle {
     }
 
     /// The residency ceiling in trees, or `None` when the store is
-    /// unbounded (the dense store keeps every tree forever).
+    /// unbounded (an all-resident store keeps every tree forever).
     fn max_resident_trees(&self) -> Option<usize>;
 
     /// Trees evicted so far to stay under the budget. Evicted trees are
@@ -132,49 +140,36 @@ impl<S: BasePathStore> BasePathStore for &S {
     }
 }
 
-impl BasePathStore for DenseBasePaths {
-    fn resident_trees(&self) -> usize {
-        self.graph().node_count()
-    }
-
-    fn max_resident_trees(&self) -> Option<usize> {
-        None
-    }
-
-    fn evicted_trees(&self) -> u64 {
-        0
-    }
-
-    fn prefetch(&self, _sources: &[NodeId]) -> usize {
-        0 // Everything is already resident, forever.
-    }
+/// Locks a mutex, recovering the guard if a previous holder panicked.
+/// The shard cache is always left consistent between operations (a
+/// panicked holder can at worst have skipped an insert), so continuing
+/// past poison is safe and keeps one crashed experiment thread from
+/// wedging every other one.
+fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-impl BasePathStore for LazyBasePaths {
-    fn resident_trees(&self) -> usize {
-        self.cached_trees()
+/// Records a provisioning batch's [`ParStats`] into the obs registry.
+fn record_par_stats(stats: &ParStats) {
+    obs_count!("core.provision.chunk_claims", stats.total_chunks_claimed());
+    obs_count!(
+        "core.provision.scratch_reuses",
+        stats.total_scratch_reuses()
+    );
+    for &settled in &stats.settled {
+        obs_record!("core.provision.settled_per_thread", settled);
     }
-
-    fn max_resident_trees(&self) -> Option<usize> {
-        Some(self.capacity())
-    }
-
-    fn evicted_trees(&self) -> u64 {
-        self.evictions()
-    }
-
-    fn prefetch(&self, sources: &[NodeId]) -> usize {
-        // One Dijkstra per missing source; the lazy store has no batch
-        // engine, which is exactly why the sharded store exists.
-        let mut built = 0;
-        for &s in sources {
-            if self.with_spt_if_cached(s, |_| ()).is_none() {
-                self.with_spt(s, |_| ());
-                built += 1;
-            }
-        }
-        built
-    }
+    // Frontier traffic of the batched SPT kernel: pops equal settles by
+    // construction (decrease-key, no duplicate entries), so any gap
+    // between pushes and decrease-keys in live telemetry is the
+    // duplicate-pop work the batch kernel eliminated.
+    obs_count!("core.provision.heap_pushes", stats.total_heap_pushes());
+    obs_count!("core.provision.heap_pops", stats.total_heap_pops());
+    obs_count!("core.provision.decrease_keys", stats.total_decrease_keys());
+    // Silence unused-variable lint when the obs feature is off.
+    let _ = stats;
 }
 
 /// A provisioned shard: the trees of one contiguous block of sources.
@@ -205,9 +200,24 @@ impl ShardCache {
     }
 }
 
-/// The implicit, sharded base-path store: per-source shortest-path trees
-/// in flat `parent[]`/`dist[]` form, provisioned shard-by-shard on the
-/// parallel engine, behind a bounded LRU.
+/// Where a store's shards live, fixed at construction by the budget.
+#[derive(Debug)]
+enum Residency {
+    /// The budget covers every source: one slot per source, filled a
+    /// shard at a time and never emptied, so a lookup is a lock-free
+    /// slot read.
+    All(Vec<OnceLock<ShortestPathTree>>),
+    /// At most `max_shards` shards resident; the least recently used is
+    /// evicted first.
+    Bounded {
+        max_shards: usize,
+        cache: Mutex<ShardCache>,
+    },
+}
+
+/// The base-path store: per-source shortest-path trees in flat
+/// `parent[]`/`dist[]` form, provisioned shard-by-shard on the parallel
+/// engine, resident as far as the tree budget allows.
 ///
 /// # Representation
 ///
@@ -220,41 +230,56 @@ impl ShardCache {
 /// * greedy decomposition's `is_tree_step` is two array reads.
 ///
 /// Sources are grouped into shards of [`shard_size`](Self::shard_size)
-/// consecutive indices. A miss provisions the whole shard as one batch
-/// via [`par_all_sources_csr`] over a [`CsrGraph`] built once at
-/// construction, so every worker thread reuses a single
-/// `DijkstraScratch` arena across the shard's trees. At most
-/// [`max_resident_trees`](BasePathStore::max_resident_trees) trees
-/// (rounded up to whole shards, minimum one shard) stay resident; the
-/// least-recently-used shard is dropped first.
+/// consecutive indices, provisioned as batches via
+/// [`par_all_sources_csr`] over a [`CsrGraph`] built once at
+/// construction. A post-failure tree or path is repaired from the
+/// resident tree on the same CSR ([`CsrGraph::repair_tree`],
+/// [`CsrGraph::repair_path`]) and never cached, so the store stays
+/// canonical.
+///
+/// # Residency
+///
+/// A budget of at least the node count makes the store *all-resident*
+/// ([`max_resident_trees`](BasePathStore::max_resident_trees) is
+/// `None`): shards are never evicted and lookups take no lock. A smaller
+/// budget makes it *bounded*: at most that many trees (rounded up to
+/// whole shards, minimum one shard) stay resident behind an LRU, and a
+/// lookup outside them rebuilds its shard.
 ///
 /// # Determinism
 ///
 /// Perturbed costs make every tree canonical, so eviction and
 /// re-provisioning — at any thread count — returns bit-identical trees
-/// and therefore bit-identical base paths (property-tested against
-/// [`DenseBasePaths`] in `tests/sharded_store.rs`).
+/// and therefore bit-identical base paths (property-tested in
+/// `tests/sharded_store.rs`).
 ///
-/// Thread-safe: the cache is lock-protected, shards are shared via
-/// [`Arc`], and shard builds happen outside the lock (racing threads may
-/// duplicate a build; the first insert wins and the duplicate is
-/// counted, never kept).
+/// Thread-safe: shard builds happen outside any lock. Racing builds of a
+/// bounded store's shard keep the first insert and count the duplicate
+/// (`core.store.duplicate_shard`); an all-resident slot keeps the first
+/// tree stored in it.
 #[derive(Debug)]
-pub struct ShardedBasePaths {
+pub struct BasePaths {
     graph: Graph,
     model: CostModel,
     csr: CsrGraph,
     shard_size: usize,
-    max_shards: usize,
     threads: usize,
-    cache: Mutex<ShardCache>,
+    residency: Residency,
     hits: AtomicU64,
     misses: AtomicU64,
     evicted: AtomicU64,
     builds: AtomicU64,
 }
 
-/// A point-in-time residency/traffic snapshot of a [`ShardedBasePaths`],
+/// [`BasePaths`] built all-resident, every source's tree provisioned up
+/// front by [`BasePaths::build`].
+pub type DenseBasePaths = BasePaths;
+
+/// [`BasePaths`] built bounded, by [`BasePaths::with_budget`] with a
+/// budget below the node count.
+pub type ShardedBasePaths = BasePaths;
+
+/// A point-in-time residency/traffic snapshot of a [`BasePaths`] store,
 /// for run reports (`rbpc-eval paper-scale` prints one per window).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardedStoreStats {
@@ -262,20 +287,22 @@ pub struct ShardedStoreStats {
     pub resident_trees: usize,
     /// Approximate bytes of resident tree storage.
     pub resident_bytes: usize,
-    /// Residency ceiling in trees.
+    /// Residency ceiling in trees (the node count when all-resident).
     pub max_resident_trees: usize,
-    /// Shard-cache hits so far.
+    /// Lookups that found their shard resident in a bounded store
+    /// (all-resident lookups are not counted).
     pub hits: u64,
-    /// Shard-cache misses so far (each triggered a shard build).
+    /// Lookups, and bounded-store prefetches, that found their shard
+    /// absent (each triggered a shard build).
     pub misses: u64,
     /// Trees evicted so far.
     pub evicted_trees: u64,
-    /// Shard batch builds so far (misses + prefetches + duplicated
-    /// racing builds).
+    /// Shards built so far (misses + prefetches + duplicated racing
+    /// builds).
     pub shard_builds: u64,
 }
 
-impl ShardedBasePaths {
+impl BasePaths {
     /// Default sources per shard: small enough that one shard of the 40k
     /// map is ~46 MB, large enough to amortize the parallel fan-out.
     pub const DEFAULT_SHARD_SIZE: usize = 32;
@@ -285,24 +312,37 @@ impl ShardedBasePaths {
     /// holding 16 default-size shards.
     pub const DEFAULT_MAX_RESIDENT_SPTS: usize = 512;
 
-    /// Creates a sharded store with the default budget and shard size,
-    /// building shards on [`default_threads`](crate::default_threads)
-    /// workers.
-    pub fn new(graph: Graph, model: CostModel) -> Self {
-        Self::with_budget(
-            graph,
-            model,
-            Self::DEFAULT_MAX_RESIDENT_SPTS,
-            Self::DEFAULT_SHARD_SIZE,
-            crate::default_threads(),
-        )
+    /// An all-resident store with every source's tree computed up front,
+    /// on [`default_threads`] worker threads.
+    ///
+    /// The trees are bit-identical for every thread count (padded costs
+    /// make them canonical), so parallel provisioning is an invisible
+    /// speedup — see [`rbpc_graph::par_all_sources_csr`].
+    pub fn build(graph: Graph, model: CostModel) -> Self {
+        Self::build_with_threads(graph, model, default_threads())
     }
 
-    /// Creates a sharded store holding at most `max_resident_spts` trees
-    /// (rounded up to whole shards of `shard_size` sources, minimum one
-    /// shard), building shards on `threads` workers (`0` means 1).
+    /// [`BasePaths::build`] on an explicit number of worker threads
+    /// (the eval binary's `--threads` flag lands here). `0` means 1.
     ///
-    /// The `--max-resident-spts` / `--shard-size` flags of
+    /// # Panics
+    ///
+    /// Panics if the graph exceeds [`CostModel::MAX_NODES`] nodes.
+    pub fn build_with_threads(graph: Graph, model: CostModel, threads: usize) -> Self {
+        let _span = obs_span!("core.provision.build.ns");
+        let n = graph.node_count();
+        let store = Self::with_budget(graph, model, n, Self::DEFAULT_SHARD_SIZE, threads);
+        store.prefetch(&store.graph.nodes().collect::<Vec<_>>());
+        store
+    }
+
+    /// A store holding at most `max_resident_spts` trees, building shards
+    /// of `shard_size` sources on `threads` workers (`0` means 1). Nothing
+    /// is provisioned yet.
+    ///
+    /// A budget of at least the node count makes the store all-resident;
+    /// a smaller one bounds it, rounded up to whole shards (minimum one
+    /// shard). The `--max-resident-spts` / `--shard-size` flags of
     /// `rbpc-eval paper-scale` land here.
     ///
     /// # Panics
@@ -318,14 +358,22 @@ impl ShardedBasePaths {
     ) -> Self {
         assert!(shard_size >= 1, "shard size must be positive");
         let csr = CsrGraph::new(&graph, &model);
-        ShardedBasePaths {
+        let n = graph.node_count();
+        let residency = if max_resident_spts >= n {
+            Residency::All((0..n).map(|_| OnceLock::new()).collect())
+        } else {
+            Residency::Bounded {
+                max_shards: max_resident_spts.div_ceil(shard_size).max(1),
+                cache: Mutex::new(ShardCache::default()),
+            }
+        };
+        BasePaths {
             graph,
             model,
             csr,
             shard_size,
-            max_shards: max_resident_spts.div_ceil(shard_size).max(1),
             threads: threads.max(1),
-            cache: Mutex::new(ShardCache::default()),
+            residency,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
@@ -353,7 +401,7 @@ impl ShardedBasePaths {
         ShardedStoreStats {
             resident_trees: self.resident_trees(),
             resident_bytes: self.resident_bytes(),
-            max_resident_trees: self.max_shards * self.shard_size,
+            max_resident_trees: self.max_resident_trees().unwrap_or(self.graph.node_count()),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evicted_trees: self.evicted.load(Ordering::Relaxed),
@@ -361,32 +409,97 @@ impl ShardedBasePaths {
         }
     }
 
+    /// Direct access to a source's tree in an all-resident store,
+    /// building its shard first if no lookup or prefetch has.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range, or if the store is bounded: a
+    /// bounded store may evict the tree, so it only lends it for the
+    /// duration of [`BasePathOracle::with_spt`].
+    pub fn spt(&self, source: NodeId) -> &ShortestPathTree {
+        let Residency::All(slots) = &self.residency else {
+            // Documented panic: a bounded store lends its trees only for
+            // the duration of `with_spt`. lint:allow(panic)
+            panic!("BasePaths::spt needs an all-resident store; use with_spt");
+        };
+        self.resident_tree(slots, source)
+    }
+
     /// The shard index covering `source`.
     fn shard_of(&self, source: NodeId) -> u32 {
         (source.index() / self.shard_size) as u32
     }
 
-    /// Batch-provisions the shard `key` (outside any lock).
-    fn build_shard(&self, key: u32) -> Shard {
-        let _span = obs_span!("core.store.shard_build.ns");
+    /// The sources of shard `key`.
+    fn sources_of(&self, key: u32) -> Range<usize> {
         let first = key as usize * self.shard_size;
-        let last = (first + self.shard_size).min(self.graph.node_count());
-        let sources: Vec<NodeId> = (first..last).map(NodeId::new).collect();
-        let (trees, stats) = par_all_sources_csr(&self.csr, None, &sources, self.threads);
-        record_par_stats(&stats);
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        Shard {
-            first: first as u32,
-            trees,
-        }
+        first..(first + self.shard_size).min(self.graph.node_count())
     }
 
-    /// Returns the resident shard covering `source`, provisioning (and
+    /// Batch-provisions the shards `keys` in one parallel sweep (outside
+    /// any lock), returned in `keys` order.
+    fn build_shards(&self, keys: &[u32]) -> Vec<Shard> {
+        let _span = obs_span!("core.store.shard_build.ns");
+        let sources: Vec<NodeId> = keys
+            .iter()
+            .flat_map(|&key| self.sources_of(key))
+            .map(NodeId::new)
+            .collect();
+        let (trees, stats) = par_all_sources_csr(&self.csr, None, &sources, self.threads);
+        record_par_stats(&stats);
+        let mut trees = trees.into_iter();
+        keys.iter()
+            .map(|&key| {
+                self.builds.fetch_add(1, Ordering::Relaxed);
+                let range = self.sources_of(key);
+                Shard {
+                    first: range.start as u32,
+                    trees: trees.by_ref().take(range.len()).collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// Builds the shard `key` after a lookup missed it.
+    fn build_missed(&self, key: u32) -> Shard {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        obs_count!("core.store.shard_miss");
+        let _t = obs_trace!("store.shard_build", cat: "lookup", shard = key as usize);
+        let mut built = self.build_shards(&[key]);
+        built
+            .pop()
+            .expect("invariant: build_shards returns one shard per key")
+    }
+
+    /// `source`'s tree in an all-resident store, its shard built on
+    /// first use. Racing builds of one shard are harmless: each slot
+    /// keeps the first tree stored.
+    fn resident_tree<'a>(
+        &self,
+        slots: &'a [OnceLock<ShortestPathTree>],
+        source: NodeId,
+    ) -> &'a ShortestPathTree {
+        if let Some(tree) = slots[source.index()].get() {
+            return tree;
+        }
+        fill_slots(slots, self.build_missed(self.shard_of(source)));
+        slots[source.index()]
+            .get()
+            .expect("invariant: the shard covering source was just stored")
+    }
+
+    /// The bounded store's shard covering `source`, provisioning (and
     /// possibly evicting) as needed.
-    fn shard(&self, source: NodeId) -> Arc<Shard> {
+    fn bounded_shard(
+        &self,
+        source: NodeId,
+        max_shards: usize,
+        cache: &Mutex<ShardCache>,
+    ) -> Arc<Shard> {
         let key = self.shard_of(source);
         {
-            let mut cache = lock_unpoisoned(&self.cache);
+            let mut cache = lock_unpoisoned(cache);
             if let Some(shard) = cache.map.get(&key) {
                 let shard = Arc::clone(shard);
                 cache.touch(key);
@@ -395,18 +508,15 @@ impl ShardedBasePaths {
                 return shard;
             }
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        obs_count!("core.store.shard_miss");
-        let _t = obs_trace!("store.shard_build", cat: "lookup", shard = key as usize);
-        let built = Arc::new(self.build_shard(key));
-        let mut cache = lock_unpoisoned(&self.cache);
+        let built = Arc::new(self.build_missed(key));
+        let mut cache = lock_unpoisoned(cache);
         if let Some(shard) = cache.map.get(&key) {
             // A racing thread provisioned this shard while we did: keep
             // theirs (identical trees) and drop our duplicate work.
             obs_count!("core.store.duplicate_shard");
             return Arc::clone(shard);
         }
-        while cache.map.len() >= self.max_shards {
+        while cache.map.len() >= max_shards {
             let Some(cold) = cache.order.pop_front() else {
                 break;
             };
@@ -422,7 +532,27 @@ impl ShardedBasePaths {
     }
 }
 
-impl BasePathOracle for ShardedBasePaths {
+/// Stores `shard`'s trees in their empty all-resident slots; returns how
+/// many it stored. A slot a racing build filled first keeps its tree.
+fn fill_slots(slots: &[OnceLock<ShortestPathTree>], shard: Shard) -> usize {
+    let mut stored = 0;
+    for (v, tree) in (shard.first as usize..).zip(shard.trees) {
+        stored += usize::from(slots[v].set(tree).is_ok());
+    }
+    if stored == 0 {
+        obs_count!("core.store.duplicate_shard");
+    }
+    stored
+}
+
+fn record_repair_work(work: RepairWork) {
+    obs_record!("spt.repair.nodes_touched", work.nodes_touched as u64);
+    obs_record!("spt.repair.settled", work.settled as u64);
+    // Silence unused-variable lint when the obs feature is off.
+    let _ = work;
+}
+
+impl BasePathOracle for BasePaths {
     fn graph(&self) -> &Graph {
         &self.graph
     }
@@ -432,57 +562,116 @@ impl BasePathOracle for ShardedBasePaths {
     }
 
     fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        let shard = self.shard(source);
-        f(&shard.trees[source.index() - shard.first as usize])
+        match &self.residency {
+            Residency::All(slots) => f(self.resident_tree(slots, source)),
+            Residency::Bounded { max_shards, cache } => {
+                let shard = self.bounded_shard(source, *max_shards, cache);
+                f(&shard.trees[source.index() - shard.first as usize])
+            }
+        }
     }
 
+    /// Repairs the resident tree with [`CsrGraph::repair_tree`]
+    /// (recorded under `spt.repair.*`); a failed source needs no stored
+    /// tree at all.
     fn with_spt_under<R>(
         &self,
         source: NodeId,
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
     ) -> R {
-        // The transient failed tree is never cached, so the store stays
-        // canonical.
-        with_spt_under_csr(self, &self.csr, source, failures, f)
+        if failures.is_empty() {
+            return self.with_spt(source, f);
+        }
+        let mask = FailureMask::from_set(&self.csr, failures);
+        if mask.node_failed(source) {
+            // Returns the all-unreachable tree before touching the scratch.
+            let scratch = &mut DijkstraScratch::new(0);
+            return f(&self.csr.full_tree_masked(source, Some(&mask), scratch));
+        }
+        self.with_spt(source, |base| {
+            let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
+            let tree = {
+                let _span = obs_span!("spt.repair.ns");
+                let (tree, work) = self.csr.repair_tree(base, &mask);
+                record_repair_work(work);
+                tree
+            };
+            f(&tree)
+        })
     }
 
+    /// Repairs with [`CsrGraph::repair_path`], which stops once `t`
+    /// settles and clones no tree.
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
-        path_under_csr(self, &self.csr, s, t, failures)
+        if failures.is_empty() {
+            return self.base_path(s, t);
+        }
+        let mask = FailureMask::from_set(&self.csr, failures);
+        if mask.node_failed(s) || mask.node_failed(t) {
+            return None;
+        }
+        self.with_spt(s, |base| {
+            let _t = obs_trace!("spt.repair", cat: "lookup", source = s.index());
+            let _span = obs_span!("spt.repair.ns");
+            let (path, work) = self.csr.repair_path(base, &mask, t);
+            record_repair_work(work);
+            path
+        })
     }
 }
 
-impl BasePathStore for ShardedBasePaths {
+impl BasePathStore for BasePaths {
     fn resident_trees(&self) -> usize {
-        lock_unpoisoned(&self.cache)
-            .map
-            .values()
-            .map(|s| s.trees.len())
-            .sum()
+        match &self.residency {
+            Residency::All(slots) => slots.iter().filter(|s| s.get().is_some()).count(),
+            Residency::Bounded { cache, .. } => lock_unpoisoned(cache)
+                .map
+                .values()
+                .map(|s| s.trees.len())
+                .sum(),
+        }
     }
 
     fn max_resident_trees(&self) -> Option<usize> {
-        Some(self.max_shards * self.shard_size)
+        match &self.residency {
+            Residency::All(_) => None,
+            Residency::Bounded { max_shards, .. } => Some(max_shards * self.shard_size),
+        }
     }
 
     fn evicted_trees(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed)
     }
 
+    /// An all-resident store builds every missing shard in one parallel
+    /// sweep. A bounded one builds them shard by shard, so its peak stays
+    /// at the budget plus one shard.
     fn prefetch(&self, sources: &[NodeId]) -> usize {
-        let mut shards: Vec<u32> = sources.iter().map(|&s| self.shard_of(s)).collect();
-        shards.sort_unstable();
-        shards.dedup();
-        let mut built = 0;
-        for key in shards {
-            let resident = lock_unpoisoned(&self.cache).map.contains_key(&key);
-            if !resident {
-                // `shard` handles build + LRU insert + eviction.
-                let shard = self.shard(NodeId::new(key as usize * self.shard_size));
-                built += shard.trees.len();
+        let mut keys: Vec<u32> = sources.iter().map(|&s| self.shard_of(s)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        match &self.residency {
+            Residency::All(slots) => {
+                keys.retain(|&key| self.sources_of(key).any(|v| slots[v].get().is_none()));
+                let shards = self.build_shards(&keys);
+                shards
+                    .into_iter()
+                    .map(|shard| fill_slots(slots, shard))
+                    .sum()
+            }
+            Residency::Bounded { max_shards, cache } => {
+                let mut built = 0;
+                for key in keys {
+                    let resident = lock_unpoisoned(cache).map.contains_key(&key);
+                    if !resident {
+                        let first = NodeId::new(key as usize * self.shard_size);
+                        built += self.bounded_shard(first, *max_shards, cache).trees.len();
+                    }
+                }
+                built
             }
         }
-        built
     }
 }
 
@@ -497,28 +686,77 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_dense_exactly() {
+    fn bounded_matches_all_resident_exactly() {
         let g = gnm_connected(50, 120, 12, 5);
-        let dense = DenseBasePaths::build(g.clone(), model());
+        let dense = BasePaths::build(g.clone(), model());
         // Budget of 8 trees / shards of 4: at most 2 shards resident, so
-        // the sweep below evicts and rebuilds constantly.
-        let sharded = ShardedBasePaths::with_budget(g.clone(), model(), 8, 4, 2);
-        for s in g.nodes() {
-            for t in g.nodes() {
-                assert_eq!(dense.base_path(s, t), sharded.base_path(s, t));
-                assert_eq!(dense.base_dist(s, t), sharded.base_dist(s, t));
+        // the sweep below evicts and rebuilds constantly. Shards of one
+        // source are the per-tree cache.
+        for (budget, shard) in [(8, 4), (4, 1)] {
+            let bounded = BasePaths::with_budget(g.clone(), model(), budget, shard, 2);
+            for s in g.nodes() {
+                for t in g.nodes() {
+                    assert_eq!(dense.base_path(s, t), bounded.base_path(s, t));
+                    assert_eq!(dense.base_dist(s, t), bounded.base_dist(s, t));
+                }
             }
+            let stats = bounded.stats();
+            assert!(stats.evicted_trees > 0, "tiny budget must evict");
+            assert!(stats.resident_trees <= stats.max_resident_trees);
         }
-        let stats = sharded.stats();
-        assert!(stats.evicted_trees > 0, "tiny budget must evict");
-        assert!(stats.resident_trees <= stats.max_resident_trees);
+    }
+
+    #[test]
+    fn residency_follows_the_budget() {
+        let g = gnm_connected(20, 45, 6, 2);
+        for budget in [20, 64] {
+            let store = BasePaths::with_budget(g.clone(), model(), budget, 8, 1);
+            assert_eq!(store.max_resident_trees(), None, "budget {budget}");
+            assert_eq!(store.stats().max_resident_trees, 20);
+        }
+        let store = BasePaths::with_budget(g.clone(), model(), 19, 8, 1);
+        assert_eq!(store.max_resident_trees(), Some(24)); // whole shards
+        let store = BasePaths::with_budget(g, model(), 0, 8, 1);
+        assert_eq!(store.max_resident_trees(), Some(8)); // at least one
+    }
+
+    #[test]
+    fn all_resident_lookups_count_no_traffic() {
+        let g = gnm_connected(20, 45, 6, 2);
+        let store = BasePaths::build_with_threads(g.clone(), model(), 1);
+        assert_eq!(store.resident_trees(), 20);
+        for s in g.nodes() {
+            let _ = store.base_dist(s, 0.into());
+        }
+        let stats = store.stats();
+        assert_eq!((stats.hits, stats.misses, stats.evicted_trees), (0, 0, 0));
+        assert_eq!(stats.shard_builds, 1); // one shard of 32 covers all 20
+    }
+
+    #[test]
+    fn all_resident_builds_missing_shards_on_first_use() {
+        let g = gnm_connected(20, 45, 6, 2);
+        let store = BasePaths::with_budget(g, model(), 20, 8, 1);
+        assert_eq!(store.resident_trees(), 0);
+        let _ = store.base_dist(NodeId::new(9), 0.into());
+        let _ = store.spt(NodeId::new(10));
+        assert_eq!(store.resident_trees(), 8);
+        assert_eq!(store.stats().misses, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "all-resident")]
+    fn spt_panics_on_a_bounded_store() {
+        let g = gnm_connected(20, 45, 6, 2);
+        let store = BasePaths::with_budget(g, model(), 8, 4, 1);
+        let _ = store.spt(NodeId::new(0));
     }
 
     #[test]
     fn lru_keeps_hot_shards() {
         let g = gnm_connected(40, 90, 9, 3);
         // 2 shards resident max (budget 16, shard 8).
-        let store = ShardedBasePaths::with_budget(g, model(), 16, 8, 1);
+        let store = BasePaths::with_budget(g, model(), 16, 8, 1);
         let hot = NodeId::new(0);
         let _ = store.base_dist(hot, 1.into()); // shard 0 resident
         let _ = store.base_dist(NodeId::new(8), 1.into()); // shard 1
@@ -533,35 +771,54 @@ mod tests {
     #[test]
     fn with_spt_under_matches_rebuild() {
         let g = gnm_connected(40, 90, 12, 5);
-        let store = ShardedBasePaths::with_budget(g.clone(), model(), 8, 4, 2);
         let mut failures = FailureSet::new();
         failures.fail_edge(rbpc_graph::EdgeId::new(0));
         failures.fail_edge(rbpc_graph::EdgeId::new(17));
         failures.fail_node(7.into());
-        for s in g.nodes() {
-            let want = rbpc_graph::shortest_path_tree(&failures.view(&g), &model(), s);
-            store.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "source {s}"));
+        // Generic so `O = &BasePaths` goes through the `&O` blanket impl,
+        // which must forward the override, not fall back to the default
+        // rebuild.
+        fn tree_via<O: BasePathOracle>(o: O, s: NodeId, f: &FailureSet) -> ShortestPathTree {
+            o.with_spt_under(s, f, ShortestPathTree::clone)
+        }
+        for store in [
+            BasePaths::build(g.clone(), model()),
+            BasePaths::with_budget(g.clone(), model(), 8, 4, 2),
+            BasePaths::with_budget(g.clone(), model(), 4, 1, 2),
+        ] {
+            for s in g.nodes() {
+                let want = rbpc_graph::shortest_path_tree(&failures.view(&g), &model(), s);
+                store.with_spt_under(s, &failures, |spt| assert_eq!(spt, &want, "source {s}"));
+                assert_eq!(tree_via(&store, s, &failures), want, "&, source {s}");
+                for t in g.nodes() {
+                    let path = want.path_to(t);
+                    assert_eq!(store.path_under(s, t, &failures), path, "{s} -> {t}");
+                }
+            }
         }
     }
 
     #[test]
     fn prefetch_provisions_whole_shards() {
         let g = gnm_connected(30, 70, 9, 3);
-        let store = ShardedBasePaths::with_budget(g, model(), 64, 8, 1);
-        let built = store.prefetch(&[NodeId::new(0), NodeId::new(3), NodeId::new(9)]);
-        assert_eq!(built, 16); // shards 0 and 1, 8 trees each
-        assert_eq!(store.resident_trees(), 16);
-        // Already resident: nothing new.
-        assert_eq!(store.prefetch(&[NodeId::new(1)]), 0);
-        let stats = store.stats();
-        assert_eq!(stats.evicted_trees, 0);
-        assert!(stats.shard_builds >= 2);
+        // All-resident (one batch) and bounded (shard by shard) alike.
+        for budget in [64, 24] {
+            let store = BasePaths::with_budget(g.clone(), model(), budget, 8, 1);
+            let built = store.prefetch(&[NodeId::new(0), NodeId::new(3), NodeId::new(9)]);
+            assert_eq!(built, 16, "budget {budget}"); // shards 0 and 1, 8 trees each
+            assert_eq!(store.resident_trees(), 16);
+            // Already resident: nothing new.
+            assert_eq!(store.prefetch(&[NodeId::new(1)]), 0);
+            let stats = store.stats();
+            assert_eq!(stats.evicted_trees, 0);
+            assert_eq!(stats.shard_builds, 2);
+        }
     }
 
     #[test]
     fn last_shard_may_be_short() {
         let g = gnm_connected(10, 25, 5, 1);
-        let store = ShardedBasePaths::with_budget(g.clone(), model(), 64, 4, 1);
+        let store = BasePaths::with_budget(g.clone(), model(), 64, 4, 1);
         assert_eq!(store.shard_count(), 3); // 4 + 4 + 2
         let d = store.base_dist(NodeId::new(9), 0.into());
         assert!(d.is_some());
@@ -570,23 +827,24 @@ mod tests {
     }
 
     #[test]
-    fn store_trait_surfaces_on_all_oracles() {
+    fn store_trait_surfaces() {
         let g = gnm_connected(20, 45, 6, 2);
-        let dense = DenseBasePaths::build(g.clone(), model());
+        let dense = BasePaths::build(g.clone(), model());
         assert_eq!(dense.resident_trees(), 20);
         assert_eq!(dense.max_resident_trees(), None);
         assert_eq!(dense.prefetch(&[NodeId::new(0)]), 0);
         assert_eq!(dense.resident_bytes(), 20 * 20 * TREE_BYTES_PER_NODE);
 
-        let lazy = LazyBasePaths::with_capacity(g.clone(), model(), 3);
-        assert_eq!(lazy.resident_trees(), 0);
-        assert_eq!(lazy.max_resident_trees(), Some(3));
-        assert_eq!(lazy.prefetch(&[NodeId::new(0), NodeId::new(1)]), 2);
-        assert_eq!(lazy.prefetch(&[NodeId::new(1)]), 0);
+        let bounded = BasePaths::with_budget(g.clone(), model(), 3, 1, 1);
+        assert_eq!(bounded.resident_trees(), 0);
+        assert_eq!(bounded.max_resident_trees(), Some(3));
+        assert_eq!(bounded.prefetch(&[NodeId::new(0), NodeId::new(1)]), 2);
+        assert_eq!(bounded.prefetch(&[NodeId::new(1)]), 0);
         for s in 0..5usize {
-            let _ = lazy.base_dist(s.into(), 0.into());
+            let _ = bounded.base_dist(s.into(), 0.into());
         }
-        assert!(lazy.evicted_trees() > 0);
+        assert!(bounded.evicted_trees() > 0);
+        assert_eq!(bounded.resident_trees(), 3);
 
         // The &S forwarding impl must reach the underlying store.
         fn takes_store<S: BasePathStore>(s: S) -> usize {
@@ -596,28 +854,41 @@ mod tests {
     }
 
     #[test]
-    fn sharded_is_shareable_across_threads() {
-        let g = gnm_connected(24, 60, 7, 4);
-        let dense = DenseBasePaths::build(g.clone(), model());
-        let store = ShardedBasePaths::with_budget(g.clone(), model(), 8, 4, 1);
-        std::thread::scope(|scope| {
-            for chunk in 0..4usize {
-                let store = &store;
-                let dense = &dense;
-                scope.spawn(move || {
-                    for s in (0..24).filter(|s| s % 4 == chunk) {
-                        for t in 0..24usize {
-                            assert_eq!(
-                                store.base_dist(s.into(), t.into()),
-                                dense.base_dist(s.into(), t.into())
-                            );
+    fn racing_lookups_keep_one_copy_per_shard_within_budget() {
+        // Many threads hammer a few sources; racing misses may duplicate
+        // a shard build, but the store must never hold two copies of a
+        // shard nor exceed its budget.
+        let g = gnm_connected(16, 40, 6, 8);
+        let n = g.node_count();
+        let dense = BasePaths::build(g.clone(), model());
+        for budget in [n - 1, 3, n] {
+            let store = BasePaths::with_budget(g.clone(), model(), budget, 1, 2);
+            std::thread::scope(|scope| {
+                for worker in 0..8usize {
+                    let (store, dense) = (&store, &dense);
+                    scope.spawn(move || {
+                        for round in 0..50usize {
+                            let s = NodeId::new((worker + round) % 4); // heavy collision
+                            let t = NodeId::new((worker * 5 + round) % 16);
+                            assert_eq!(store.base_dist(s, t), dense.base_dist(s, t));
                         }
-                    }
-                });
+                    });
+                }
+            });
+            let resident = store.resident_trees();
+            assert!(
+                resident <= 4,
+                "budget {budget}: {resident} trees for 4 sources"
+            );
+            assert!(resident <= store.max_resident_trees().unwrap_or(n));
+            if let Residency::Bounded { cache, .. } = &store.residency {
+                let cache = lock_unpoisoned(cache);
+                let mut order: Vec<u32> = cache.order.iter().copied().collect();
+                order.sort_unstable();
+                let keys: Vec<u32> = cache.map.keys().copied().collect();
+                assert_eq!(order, keys, "budget {budget}: LRU order and map disagree");
             }
-        });
-        let stats = store.stats();
-        assert!(stats.resident_trees <= stats.max_resident_trees);
+        }
     }
 
     #[test]

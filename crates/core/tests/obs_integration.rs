@@ -1,13 +1,13 @@
 //! End-to-end checks that the restoration hot paths feed the global
 //! metric registry: one restore call under a single failed link must show
 //! up as exactly one restore, at most Theorem 3's `2k + 1 = 3` segments,
-//! and the lazy oracle's cache counters must match its observable cache
+//! and a bounded store's shard counters must match its observable cache
 //! behavior.
 
 // The global registry only records when instrumentation is compiled in.
 #![cfg(feature = "obs")]
 
-use rbpc_core::{BasePathOracle, DenseBasePaths, LazyBasePaths, Restorer};
+use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, Restorer, ShardedBasePaths};
 use rbpc_graph::{CostModel, FailureSet, Metric, NodeId};
 use rbpc_obs::Registry;
 use rbpc_topo::gnm_connected;
@@ -95,24 +95,27 @@ fn unaffected_restore_counts_ok_but_not_affected() {
 }
 
 #[test]
-fn lazy_oracle_cache_counters_match_observed_behavior() {
+fn bounded_store_shard_counters_match_observed_behavior() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let g = gnm_connected(15, 34, 6, 9);
-    let lazy = LazyBasePaths::new(g, CostModel::new(Metric::Weighted, 2));
+    // Shards of one source under an 8-tree budget: a per-tree cache.
+    let store = ShardedBasePaths::with_budget(g, CostModel::new(Metric::Weighted, 2), 8, 1, 1);
 
-    let hits = counter("core.basepaths.cache_hit");
-    let misses = counter("core.basepaths.cache_miss");
+    let hits = counter("core.store.shard_hit");
+    let misses = counter("core.store.shard_miss");
     // 5 sources x 15 targets = 75 tree lookups over 5 distinct trees.
     for s in 0..5usize {
         for t in 0..15usize {
-            let _ = lazy.base_dist(s.into(), t.into());
+            let _ = store.base_dist(s.into(), t.into());
         }
     }
-    let hit_delta = counter("core.basepaths.cache_hit") - hits;
-    let miss_delta = counter("core.basepaths.cache_miss") - misses;
-    // Under the default capacity nothing evicts, so misses are exactly
-    // the distinct sources — which is what the cache itself reports.
-    assert_eq!(miss_delta, lazy.cached_trees() as u64);
+    let hit_delta = counter("core.store.shard_hit") - hits;
+    let miss_delta = counter("core.store.shard_miss") - misses;
+    // Under the budget nothing evicts, so misses are exactly the
+    // distinct sources — which is what the store itself reports.
+    assert_eq!(miss_delta, store.resident_trees() as u64);
     assert_eq!(miss_delta, 5);
     assert_eq!(hit_delta + miss_delta, 75);
+    let stats = store.stats();
+    assert_eq!((stats.hits, stats.misses), (hit_delta, miss_delta));
 }

@@ -17,7 +17,7 @@
 //! restore record's failure set is cross-checked against the recorded
 //! storm schedule for its window.
 
-use crate::suite::{standard_suite, AnyOracle, EvalScale};
+use crate::suite::{eval_store, standard_suite, EvalScale};
 use rbpc_core::{BasePathOracle, Restorer};
 use rbpc_graph::{CostModel, EdgeId, FailureSet, Graph, Metric, NodeId};
 use rbpc_obs::json::{self, JsonValue};
@@ -360,7 +360,7 @@ pub fn replay_incident(
     threads: usize,
 ) -> Result<ReplayReport, String> {
     let (topo_name, graph) = header.topo.build()?;
-    let oracle = AnyOracle::for_graph_threads(
+    let oracle = eval_store(
         graph,
         CostModel::new(header.metric, header.seed),
         threads.max(1),
@@ -520,7 +520,7 @@ mod tests {
         // Record a couple of real restores by hand, then replay them.
         let h = header();
         let (_, graph) = h.topo.build().expect("gnm builds");
-        let oracle = AnyOracle::for_graph_threads(graph, CostModel::new(h.metric, h.seed), 1);
+        let oracle = eval_store(graph, CostModel::new(h.metric, h.seed), 1);
         let restorer = Restorer::new(&oracle);
         let base = oracle
             .base_path(NodeId::new(0), NodeId::new(20))

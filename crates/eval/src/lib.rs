@@ -27,7 +27,7 @@
 //!
 //! [`mod@paperscale`] provisions the paper's largest topology — the
 //! 40 377-node Internet router map — end to end through the implicit
-//! sharded store ([`rbpc_core::ShardedBasePaths`]) under a stated
+//! bounded base-path store ([`rbpc_core::BasePaths`]) under a stated
 //! memory budget, reproducing the paper's 40-sample protocol and
 //! optionally sweeping every source (the `rbpc-eval paper-scale`
 //! subcommand); the memory math and workflow live in `docs/SCALE.md`.
@@ -70,7 +70,7 @@ pub use paperscale::{
 };
 pub use report::{format_table, Csv};
 pub use sampling::sample_pairs;
-pub use suite::{standard_suite, AnyOracle, EvalScale, NetworkCase};
+pub use suite::{eval_store, standard_suite, EvalScale, NetworkCase};
 pub use table1::{table1, Table1Row};
 pub use table2::{table2_block, FailureClass, Table2Row};
 pub use table3::{table3, BypassHistogram};

@@ -30,7 +30,7 @@
 //! against simulated time.
 
 use crate::incident::{write_incident, IncidentHeader, TopoSpec};
-use crate::{format_table, sample_pairs, AnyOracle};
+use crate::{eval_store, format_table, sample_pairs};
 use rbpc_core::{BasePathOracle, Restorer};
 use rbpc_graph::{splitmix64, CostModel, DetRng, EdgeId, Graph, Metric, NodeId};
 use rbpc_obs::{
@@ -320,7 +320,7 @@ pub fn run_loadtest_watched<W: Write>(
     sink: Option<&IncidentSink>,
 ) -> io::Result<LoadtestReport> {
     let run_id = run_id_for_seed(cfg.seed);
-    let oracle = AnyOracle::for_graph_threads(
+    let oracle = eval_store(
         graph.clone(),
         CostModel::new(metric, cfg.seed),
         cfg.threads.max(1),

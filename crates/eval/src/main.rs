@@ -127,7 +127,7 @@ fn usage() -> &'static str {
      \x20           `loadtest`, `validate`\n\
      \n\
      provisioning:\n\
-     \x20 --threads N       worker threads for dense oracle provisioning and\n\
+     \x20 --threads N       worker threads for base-path store builds and\n\
      \x20                   per-link failover planning (default: all cores);\n\
      \x20                   results are identical for every thread count\n\
      \n\
@@ -579,7 +579,7 @@ fn main() -> ExitCode {
             args.seed,
         )
         .graph;
-        let small_oracle = rbpc_eval::AnyOracle::for_graph_threads(
+        let small_oracle = rbpc_eval::eval_store(
             small.clone(),
             rbpc_graph::CostModel::new(rbpc_graph::Metric::Weighted, args.seed),
             args.threads,

@@ -11,8 +11,8 @@
 //!
 //! 1. **The paper's 40-sample protocol** — the Table 2 measurement
 //!    (ILM stretch, PC length, length stretch, redundancy) across all
-//!    four failure classes, computed through the sharded store instead
-//!    of a dense oracle;
+//!    four failure classes, computed through the bounded store instead
+//!    of an all-resident one;
 //! 2. **A full sweep the paper could not afford in 2001** — with
 //!    `--full-sweep`, every source in the map is visited shard by shard
 //!    (perfect LRU locality), a few sampled destinations per source are

@@ -1,7 +1,7 @@
-//! The evaluated networks and oracle selection.
+//! The evaluated networks and the base-path store they run on.
 
-use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, LazyBasePaths, ShardedBasePaths};
-use rbpc_graph::{CostModel, FailureSet, Graph, Metric, NodeId, Path, ShortestPathTree};
+use rbpc_core::{BasePathOracle, BasePathStore, BasePaths};
+use rbpc_graph::{CostModel, Graph, Metric};
 use rbpc_topo::{
     as_graph_like, ba_graph_clustered, internet_like, internet_like_scaled, isp_topology,
     IspParams, INTERNET_TRIAD_PCT,
@@ -31,16 +31,16 @@ pub struct NetworkCase {
 }
 
 impl NetworkCase {
-    /// Builds the right oracle for this network's size, provisioning on
-    /// the machine's available parallelism.
-    pub fn oracle(&self, seed: u64) -> AnyOracle {
-        AnyOracle::for_graph(self.graph.clone(), CostModel::new(self.metric, seed))
+    /// This network's [`eval_store`], provisioning on the machine's
+    /// available parallelism.
+    pub fn oracle(&self, seed: u64) -> BasePaths {
+        self.oracle_threads(seed, rbpc_core::default_threads())
     }
 
     /// [`NetworkCase::oracle`] with an explicit provisioning thread count
     /// (the `--threads` flag of `rbpc-eval`).
-    pub fn oracle_threads(&self, seed: u64, threads: usize) -> AnyOracle {
-        AnyOracle::for_graph_threads(
+    pub fn oracle_threads(&self, seed: u64, threads: usize) -> BasePaths {
+        eval_store(
             self.graph.clone(),
             CostModel::new(self.metric, seed),
             threads,
@@ -95,144 +95,30 @@ pub fn standard_suite(scale: EvalScale, seed: u64) -> Vec<NetworkCase> {
     ]
 }
 
-/// Size threshold above which the dense (all-pairs) oracle is replaced by
-/// the lazy cached one.
-pub const DENSE_ORACLE_MAX_NODES: usize = 600;
-
-/// Size threshold above which the lazy oracle is replaced by the implicit
-/// sharded store ([`ShardedBasePaths`]): batch shard builds on the
-/// parallel engine amortize far better than one-at-a-time lazy Dijkstras
-/// once graphs reach AS-graph/Internet-map size.
-pub const SHARDED_ORACLE_MIN_NODES: usize = 10_000;
-
-/// Any base-path oracle, chosen by graph size.
-#[derive(Debug)]
-pub enum AnyOracle {
-    /// Precomputed all-pairs trees (small graphs).
-    Dense(DenseBasePaths),
-    /// On-demand cached trees (mid-size graphs).
-    Lazy(LazyBasePaths),
-    /// Implicit sharded store with an LRU residency budget (paper-scale
-    /// graphs, e.g. the 40 377-node Internet router map).
-    Sharded(ShardedBasePaths),
-}
-
-impl AnyOracle {
-    /// Picks dense for graphs up to [`DENSE_ORACLE_MAX_NODES`] nodes,
-    /// lazy up to [`SHARDED_ORACLE_MIN_NODES`], and the sharded store
-    /// beyond. Provisioning runs on the machine's available parallelism;
-    /// results are thread-count-invariant (canonical trees).
-    pub fn for_graph(graph: Graph, model: CostModel) -> Self {
-        Self::for_graph_threads(graph, model, rbpc_core::default_threads())
+/// The store every evaluation runs on: [`BasePaths::with_budget`] at the
+/// default budget and shard size, on `threads` workers (results are
+/// thread-count-invariant). A graph the budget covers (the ~200-node
+/// ISP) is all-resident and gets every tree provisioned before the first
+/// query; larger maps stay bounded and build shards on demand.
+pub fn eval_store(graph: Graph, model: CostModel, threads: usize) -> BasePaths {
+    let store = BasePaths::with_budget(
+        graph,
+        model,
+        BasePaths::DEFAULT_MAX_RESIDENT_SPTS,
+        BasePaths::DEFAULT_SHARD_SIZE,
+        threads,
+    );
+    if store.max_resident_trees().is_none() {
+        let all: Vec<_> = store.graph().nodes().collect();
+        store.prefetch(&all);
     }
-
-    /// [`AnyOracle::for_graph`] with an explicit provisioning thread
-    /// count for the dense and sharded cases (the lazy oracle computes
-    /// on demand and ignores it).
-    pub fn for_graph_threads(graph: Graph, model: CostModel, threads: usize) -> Self {
-        if graph.node_count() <= DENSE_ORACLE_MAX_NODES {
-            AnyOracle::Dense(DenseBasePaths::build_with_threads(graph, model, threads))
-        } else if graph.node_count() < SHARDED_ORACLE_MIN_NODES {
-            AnyOracle::Lazy(LazyBasePaths::new(graph, model))
-        } else {
-            AnyOracle::Sharded(ShardedBasePaths::with_budget(
-                graph,
-                model,
-                ShardedBasePaths::DEFAULT_MAX_RESIDENT_SPTS,
-                ShardedBasePaths::DEFAULT_SHARD_SIZE,
-                threads,
-            ))
-        }
-    }
-}
-
-impl BasePathOracle for AnyOracle {
-    fn graph(&self) -> &Graph {
-        match self {
-            AnyOracle::Dense(o) => o.graph(),
-            AnyOracle::Lazy(o) => o.graph(),
-            AnyOracle::Sharded(o) => o.graph(),
-        }
-    }
-
-    fn cost_model(&self) -> &CostModel {
-        match self {
-            AnyOracle::Dense(o) => o.cost_model(),
-            AnyOracle::Lazy(o) => o.cost_model(),
-            AnyOracle::Sharded(o) => o.cost_model(),
-        }
-    }
-
-    fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
-        match self {
-            AnyOracle::Dense(o) => o.with_spt(source, f),
-            AnyOracle::Lazy(o) => o.with_spt(source, f),
-            AnyOracle::Sharded(o) => o.with_spt(source, f),
-        }
-    }
-
-    fn with_spt_under<R>(
-        &self,
-        source: NodeId,
-        failures: &FailureSet,
-        f: impl FnOnce(&ShortestPathTree) -> R,
-    ) -> R {
-        // Forward explicitly so every variant keeps its incremental-repair
-        // override instead of the trait's rebuild-from-scratch default.
-        match self {
-            AnyOracle::Dense(o) => o.with_spt_under(source, failures, f),
-            AnyOracle::Lazy(o) => o.with_spt_under(source, failures, f),
-            AnyOracle::Sharded(o) => o.with_spt_under(source, failures, f),
-        }
-    }
-
-    fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
-        // Likewise for the targeted repair, which stops once `t` settles.
-        match self {
-            AnyOracle::Dense(o) => o.path_under(s, t, failures),
-            AnyOracle::Lazy(o) => o.path_under(s, t, failures),
-            AnyOracle::Sharded(o) => o.path_under(s, t, failures),
-        }
-    }
-}
-
-impl BasePathStore for AnyOracle {
-    fn resident_trees(&self) -> usize {
-        match self {
-            AnyOracle::Dense(o) => o.resident_trees(),
-            AnyOracle::Lazy(o) => o.resident_trees(),
-            AnyOracle::Sharded(o) => o.resident_trees(),
-        }
-    }
-
-    fn max_resident_trees(&self) -> Option<usize> {
-        match self {
-            AnyOracle::Dense(o) => o.max_resident_trees(),
-            AnyOracle::Lazy(o) => o.max_resident_trees(),
-            AnyOracle::Sharded(o) => o.max_resident_trees(),
-        }
-    }
-
-    fn evicted_trees(&self) -> u64 {
-        match self {
-            AnyOracle::Dense(o) => o.evicted_trees(),
-            AnyOracle::Lazy(o) => o.evicted_trees(),
-            AnyOracle::Sharded(o) => o.evicted_trees(),
-        }
-    }
-
-    fn prefetch(&self, sources: &[NodeId]) -> usize {
-        match self {
-            AnyOracle::Dense(o) => o.prefetch(sources),
-            AnyOracle::Lazy(o) => o.prefetch(sources),
-            AnyOracle::Sharded(o) => o.prefetch(sources),
-        }
-    }
+    store
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rbpc_graph::{FailureSet, NodeId, Path};
 
     #[test]
     fn quick_suite_has_four_networks() {
@@ -249,29 +135,26 @@ mod tests {
     }
 
     #[test]
-    fn oracle_selection_by_size() {
+    fn residency_follows_graph_size() {
         let suite = standard_suite(EvalScale::Quick, 1);
-        assert!(matches!(suite[0].oracle(1), AnyOracle::Dense(_))); // ISP ~200
-        assert!(matches!(suite[2].oracle(1), AnyOracle::Lazy(_))); // 1500 nodes
+        // ISP, ~200 nodes: under the budget, so all-resident and
+        // provisioned before the first query.
+        let isp = suite[0].oracle(1);
+        assert_eq!(isp.max_resident_trees(), None);
+        assert_eq!(isp.resident_trees(), suite[0].graph.node_count());
+        // 1 500 nodes: bounded, nothing provisioned yet.
+        let internet = suite[2].oracle(1);
+        assert_eq!(
+            internet.max_resident_trees(),
+            Some(BasePaths::DEFAULT_MAX_RESIDENT_SPTS)
+        );
+        assert_eq!(internet.resident_trees(), 0);
+        assert!(internet.base_dist(0.into(), 1.into()).is_some());
+        assert_eq!(internet.resident_trees(), BasePaths::DEFAULT_SHARD_SIZE);
     }
 
     #[test]
-    fn paper_scale_graphs_get_the_sharded_store() {
-        // Construction is cheap (CSR only, no trees), so exercising the
-        // selection threshold at 10k nodes is affordable in a unit test.
-        let g =
-            rbpc_topo::gnm_connected(SHARDED_ORACLE_MIN_NODES, 2 * SHARDED_ORACLE_MIN_NODES, 5, 1);
-        let oracle = AnyOracle::for_graph_threads(g, CostModel::new(Metric::Unweighted, 1), 2);
-        assert!(matches!(oracle, AnyOracle::Sharded(_)));
-        assert_eq!(oracle.resident_trees(), 0); // nothing provisioned yet
-        assert!(oracle.max_resident_trees().is_some());
-        let d = oracle.base_dist(0.into(), 1.into());
-        assert!(d.is_some());
-        assert!(oracle.resident_trees() > 0);
-    }
-
-    #[test]
-    fn any_oracle_delegates() {
+    fn case_oracle_uses_the_case_metric() {
         let case = &standard_suite(EvalScale::Quick, 2)[0];
         let oracle = case.oracle(2);
         assert_eq!(oracle.graph().node_count(), case.graph.node_count());
@@ -283,15 +166,19 @@ mod tests {
     #[test]
     // The double borrow deliberately exercises the `&O` blanket impl.
     #[allow(clippy::needless_borrows_for_generic_args)]
-    fn any_oracle_with_spt_under_repairs_like_rebuild() {
+    fn every_residency_repairs_like_rebuild() {
         let case = &standard_suite(EvalScale::Quick, 3)[0];
         let model = CostModel::new(case.metric, 3);
         let g = &case.graph;
+        // All-resident, bounded, and bounded with one source per shard.
         let variants = [
-            AnyOracle::Dense(DenseBasePaths::build_with_threads(g.clone(), model, 2)),
-            AnyOracle::Lazy(LazyBasePaths::with_capacity(g.clone(), model, 4)),
-            AnyOracle::Sharded(ShardedBasePaths::with_budget(g.clone(), model, 8, 4, 2)),
+            BasePaths::build_with_threads(g.clone(), model, 2),
+            BasePaths::with_budget(g.clone(), model, 8, 4, 2),
+            BasePaths::with_budget(g.clone(), model, 4, 1, 2),
         ];
+        assert_eq!(variants[0].max_resident_trees(), None);
+        assert_eq!(variants[1].max_resident_trees(), Some(8));
+        assert_eq!(variants[2].max_resident_trees(), Some(4));
         let mut failures = FailureSet::new();
         failures.fail_edge(rbpc_graph::EdgeId::new(0));
         failures.fail_edge(rbpc_graph::EdgeId::new(9));

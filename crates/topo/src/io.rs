@@ -12,19 +12,32 @@
 //! topologies can be fed to the evaluation harness.
 
 use core::fmt;
-use rbpc_graph::{Graph, GraphError};
+use rbpc_graph::{CostModel, Graph, GraphError};
 
 /// Error produced when parsing an edge-list document.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TopologyParseError {
-    /// A line did not match `nodes <n>` or `edge <u> <v> <w>`.
+    /// A line did not match `nodes <n>` or `edge <u> <v> <w>` (a weight
+    /// must fit `u32`).
     Malformed {
         /// 1-based line number.
         line: usize,
     },
-    /// The `nodes` header is missing or appears after an `edge` line.
+    /// The `nodes` header is missing before the first `edge` line.
     MissingHeader,
+    /// A second `nodes` header, which would discard the graph read so far.
+    DuplicateHeader {
+        /// 1-based line number.
+        line: usize,
+    },
+    /// The `nodes` header asks for more than [`CostModel::MAX_NODES`].
+    TooManyNodes {
+        /// 1-based line number.
+        line: usize,
+        /// The requested node count.
+        nodes: usize,
+    },
     /// An edge was rejected by the graph (self-loop, range, zero weight).
     Graph {
         /// 1-based line number.
@@ -43,6 +56,14 @@ impl fmt::Display for TopologyParseError {
             TopologyParseError::MissingHeader => {
                 write!(f, "missing `nodes <n>` header before first edge")
             }
+            TopologyParseError::DuplicateHeader { line } => {
+                write!(f, "second `nodes` header at line {line}")
+            }
+            TopologyParseError::TooManyNodes { line, nodes } => write!(
+                f,
+                "line {line}: {nodes} nodes exceeds the limit of {}",
+                CostModel::MAX_NODES
+            ),
             TopologyParseError::Graph { line, source } => {
                 write!(f, "invalid edge at line {line}: {source}")
             }
@@ -63,8 +84,9 @@ impl std::error::Error for TopologyParseError {
 ///
 /// # Errors
 ///
-/// Returns [`TopologyParseError`] on malformed lines, a missing header, or
-/// edges the graph rejects.
+/// Returns [`TopologyParseError`] on malformed lines (including weights
+/// that do not fit `u32`), a missing or repeated header, a node count
+/// above [`CostModel::MAX_NODES`], or edges the graph rejects.
 ///
 /// ```
 /// use rbpc_topo::parse_edge_list;
@@ -84,26 +106,27 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, TopologyParseError> {
         let mut parts = line.split_whitespace();
         match parts.next() {
             Some("nodes") => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or(TopologyParseError::Malformed { line: line_no })?;
+                let n: usize = field(&mut parts, line_no)?;
                 if parts.next().is_some() {
                     return Err(TopologyParseError::Malformed { line: line_no });
+                }
+                if graph.is_some() {
+                    return Err(TopologyParseError::DuplicateHeader { line: line_no });
+                }
+                if n > CostModel::MAX_NODES {
+                    return Err(TopologyParseError::TooManyNodes {
+                        line: line_no,
+                        nodes: n,
+                    });
                 }
                 graph = Some(Graph::new(n));
             }
             Some("edge") => {
                 let g = graph.as_mut().ok_or(TopologyParseError::MissingHeader)?;
-                let mut field = || -> Result<u64, TopologyParseError> {
-                    parts
-                        .next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or(TopologyParseError::Malformed { line: line_no })
-                };
-                let u = field()? as usize;
-                let v = field()? as usize;
-                let w = field()? as u32;
+                let u: usize = field(&mut parts, line_no)?;
+                let v: usize = field(&mut parts, line_no)?;
+                // A weight that does not fit `u32` fails to parse.
+                let w: u32 = field(&mut parts, line_no)?;
                 if parts.next().is_some() {
                     return Err(TopologyParseError::Malformed { line: line_no });
                 }
@@ -117,6 +140,17 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, TopologyParseError> {
         }
     }
     graph.ok_or(TopologyParseError::MissingHeader)
+}
+
+/// The next field of line `line`, parsed as a `T`.
+fn field<'a, T: std::str::FromStr>(
+    parts: &mut impl Iterator<Item = &'a str>,
+    line: usize,
+) -> Result<T, TopologyParseError> {
+    parts
+        .next()
+        .and_then(|s| s.parse().ok())
+        .ok_or(TopologyParseError::Malformed { line })
 }
 
 /// Serializes a graph to the edge-list format parsed by
@@ -213,5 +247,40 @@ mod tests {
         let text = write_edge_list(&p.graph);
         let back = parse_edge_list(&text).unwrap();
         assert_eq!(p.graph, back);
+    }
+
+    #[test]
+    fn second_header_is_an_error() {
+        // Replacing the graph would silently drop edge 0-1.
+        assert_eq!(
+            parse_edge_list("nodes 3\nedge 0 1 1\nnodes 3\nedge 1 2 1\n").unwrap_err(),
+            TopologyParseError::DuplicateHeader { line: 3 }
+        );
+        assert_eq!(
+            parse_edge_list("nodes 3\nnodes 4\n").unwrap_err(),
+            TopologyParseError::DuplicateHeader { line: 2 }
+        );
+    }
+
+    #[test]
+    fn weight_above_u32_is_an_error_not_truncated() {
+        // 4 294 967 301 = 2^32 + 5, which `as u32` would load as 5.
+        assert_eq!(
+            parse_edge_list("nodes 2\nedge 0 1 4294967301\n").unwrap_err(),
+            TopologyParseError::Malformed { line: 2 }
+        );
+        let g = parse_edge_list("nodes 2\nedge 0 1 4294967295\n").unwrap();
+        assert_eq!(g.weight(0.into()), u32::MAX);
+    }
+
+    #[test]
+    fn node_count_above_the_cost_model_limit_is_an_error() {
+        let max = CostModel::MAX_NODES;
+        for n in [max + 1, usize::MAX] {
+            assert_eq!(
+                parse_edge_list(&format!("nodes {n}\n")).unwrap_err(),
+                TopologyParseError::TooManyNodes { line: 1, nodes: n }
+            );
+        }
     }
 }

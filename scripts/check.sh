@@ -73,6 +73,9 @@ cargo test --release --test spt_batch -q
 echo "== sharded-store property test (release: bit-identical to dense at 1/2/8 threads)"
 cargo test --release -p rbpc-core --test sharded_store -q
 
+echo "== reduced paper-scale Table 2 block (release: the bounded store on a 10 000-node map)"
+cargo test --release --test paper_scale -q
+
 echo "== rbpc-eval paper-scale --smoke (sharded store end-to-end + incident replay)"
 cargo build -q --release -p rbpc-eval
 target/release/rbpc-eval paper-scale --smoke \

@@ -54,7 +54,8 @@ fn paper_scale_internet_bypasses() {
 #[cfg(not(debug_assertions))]
 #[test]
 fn reduced_internet_one_link_block() {
-    use mpls_rbpc::eval::{AnyOracle, NetworkCase};
+    use mpls_rbpc::core::BasePathStore;
+    use mpls_rbpc::eval::NetworkCase;
     use mpls_rbpc::graph::Metric;
 
     let case = NetworkCase {
@@ -64,7 +65,8 @@ fn reduced_internet_one_link_block() {
         samples: 40,
     };
     let oracle = case.oracle_threads(1, 2);
-    assert!(matches!(oracle, AnyOracle::Lazy(_)));
+    // Above the default budget: a bounded store, not an all-resident one.
+    assert_eq!(oracle.max_resident_trees(), Some(512));
     let pairs = sample_pairs(&case.graph, case.samples, 1);
     let row = table2_block(&case.name, &oracle, FailureClass::OneLink, &pairs, 2);
     assert!(row.events > 0);
