@@ -114,17 +114,20 @@ pub trait BasePathOracle {
     ///
     /// Panics if `from` is out of range for the path.
     fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
-        let nodes = path.nodes();
-        let edges = path.edges();
-        assert!(from < nodes.len(), "from out of range");
-        self.with_spt(nodes[from], |spt| {
-            let mut j = from;
-            while j + 1 < nodes.len() && spt.is_tree_step(nodes[j], edges[j], nodes[j + 1]) {
-                j += 1;
-            }
-            j
-        })
+        assert!(from < path.nodes().len(), "from out of range");
+        self.with_spt(path.nodes()[from], |spt| tree_prefix(spt, path, from))
     }
+}
+
+/// The largest `j ≥ from` such that every hop of `path[from..=j]` is a
+/// step of `spt`, the tree of `path.nodes()[from]`.
+pub(crate) fn tree_prefix(spt: &ShortestPathTree, path: &Path, from: usize) -> usize {
+    let (nodes, edges) = (path.nodes(), path.edges());
+    let mut j = from;
+    while j + 1 < nodes.len() && spt.is_tree_step(nodes[j], edges[j], nodes[j + 1]) {
+        j += 1;
+    }
+    j
 }
 
 impl<O: BasePathOracle> BasePathOracle for &O {
@@ -151,6 +154,10 @@ impl<O: BasePathOracle> BasePathOracle for &O {
 
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
         (**self).path_under(s, t, failures)
+    }
+
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        (**self).longest_base_prefix(path, from)
     }
 }
 
@@ -234,9 +241,11 @@ mod tests {
         assert_eq!(takes_oracle(&oracle), 5);
         assert_eq!(takes_oracle(&&oracle), 5);
 
-        // The blanket impl must forward `path_under` itself, not fall back
-        // to the trait default (which goes through `with_spt_under`).
-        struct Spy<'a>(&'a DenseBasePaths, std::cell::Cell<usize>);
+        // The blanket impl must forward `path_under` and
+        // `longest_base_prefix` themselves, not fall back to the trait
+        // defaults (which go through `with_spt_under` / `with_spt`, and
+        // `with_spt` builds shards). The spy counts calls to each.
+        struct Spy<'a>(&'a DenseBasePaths, [std::cell::Cell<usize>; 2]);
         impl BasePathOracle for Spy<'_> {
             fn graph(&self) -> &Graph {
                 self.0.graph()
@@ -248,16 +257,25 @@ mod tests {
                 self.0.with_spt(source, f)
             }
             fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
-                self.1.set(self.1.get() + 1);
+                self.1[0].set(self.1[0].get() + 1);
                 self.0.path_under(s, t, failures)
+            }
+            fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+                self.1[1].set(self.1[1].get() + 1);
+                self.0.longest_base_prefix(path, from)
             }
         }
         fn path_via<O: BasePathOracle>(o: O) -> Option<Path> {
             o.path_under(0.into(), 4.into(), &FailureSet::of_edge(0.into()))
         }
-        let spy = Spy(&oracle, std::cell::Cell::new(0));
+        fn prefix_via<O: BasePathOracle>(o: O, path: &Path) -> usize {
+            o.longest_base_prefix(path, 0)
+        }
+        let spy = Spy(&oracle, Default::default());
         let _ = path_via(&&spy);
-        assert_eq!(spy.1.get(), 1);
+        let base = oracle.base_path(0.into(), 4.into()).unwrap();
+        assert_eq!(prefix_via(&&spy, &base), base.hop_count());
+        assert_eq!((spy.1[0].get(), spy.1[1].get()), (1, 1));
     }
 
     #[test]

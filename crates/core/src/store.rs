@@ -16,8 +16,11 @@
 //!   provisioned up front — right for the paper's ~200-node ISP.
 //! * **Budget < node count** — the bounded store: at most a budgeted
 //!   number of shards stay resident behind an LRU, and a lookup outside
-//!   them rebuilds its shard. Right for the 4 746-node AS graph and the
-//!   40 377-node Internet map.
+//!   them rebuilds its shard — except greedy decomposition's
+//!   [`longest_base_prefix`](BasePathOracle::longest_base_prefix), which
+//!   answers a non-resident segment start with an early-exit search
+//!   ([`CsrGraph::longest_tree_prefix`]) and builds nothing. Right for
+//!   the 4 746-node AS graph and the 40 377-node Internet map.
 //!
 //! # Why the trees stay implicit
 //!
@@ -51,7 +54,7 @@
 //! [`path_to`]: ShortestPathTree::path_to
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
-use crate::basepaths::{default_threads, BasePathOracle};
+use crate::basepaths::{default_threads, tree_prefix, BasePathOracle};
 use rbpc_graph::{
     par_all_sources_csr, CostModel, CsrGraph, DijkstraScratch, FailureMask, FailureSet, Graph,
     NodeId, ParStats, Path, RepairWork, ShortestPathTree,
@@ -181,6 +184,13 @@ struct Shard {
     trees: Vec<ShortestPathTree>,
 }
 
+impl Shard {
+    /// The tree of `source`, one of this shard's sources.
+    fn tree(&self, source: NodeId) -> &ShortestPathTree {
+        &self.trees[source.index() - self.first as usize]
+    }
+}
+
 /// LRU-ordered resident shard set. `order` runs cold → hot; `map` is a
 /// `BTreeMap` (deterministic iteration, per the workspace's
 /// hash-iteration lint) keyed by shard index.
@@ -244,7 +254,13 @@ enum Residency {
 /// `None`): shards are never evicted and lookups take no lock. A smaller
 /// budget makes it *bounded*: at most that many trees (rounded up to
 /// whole shards, minimum one shard) stay resident behind an LRU, and a
-/// lookup outside them rebuilds its shard.
+/// lookup outside them rebuilds its shard. The exception is
+/// [`longest_base_prefix`](BasePathOracle::longest_base_prefix): when the
+/// segment start's shard is absent it runs
+/// [`CsrGraph::longest_tree_prefix`], which stops once the prefix ends
+/// and leaves the cache alone. Source lookups (`base_path`,
+/// `path_under`, `with_spt`) still build, so a sweep's next
+/// `shard_size − 1` sources find their trees resident.
 ///
 /// # Determinism
 ///
@@ -269,6 +285,7 @@ pub struct BasePaths {
     misses: AtomicU64,
     evicted: AtomicU64,
     builds: AtomicU64,
+    probes: AtomicU64,
 }
 
 /// [`BasePaths`] built all-resident, every source's tree provisioned up
@@ -300,6 +317,10 @@ pub struct ShardedStoreStats {
     /// Shards built so far (misses + prefetches + duplicated racing
     /// builds).
     pub shard_builds: u64,
+    /// Greedy-decomposition prefix questions a bounded store answered
+    /// with an early-exit search because the segment start's shard was
+    /// absent (each built nothing and evicted nothing).
+    pub probes: u64,
 }
 
 impl BasePaths {
@@ -378,6 +399,7 @@ impl BasePaths {
             misses: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             builds: AtomicU64::new(0),
+            probes: AtomicU64::new(0),
         }
     }
 
@@ -406,6 +428,7 @@ impl BasePaths {
             misses: self.misses.load(Ordering::Relaxed),
             evicted_trees: self.evicted.load(Ordering::Relaxed),
             shard_builds: self.builds.load(Ordering::Relaxed),
+            probes: self.probes.load(Ordering::Relaxed),
         }
     }
 
@@ -498,15 +521,8 @@ impl BasePaths {
         cache: &Mutex<ShardCache>,
     ) -> Arc<Shard> {
         let key = self.shard_of(source);
-        {
-            let mut cache = lock_unpoisoned(cache);
-            if let Some(shard) = cache.map.get(&key) {
-                let shard = Arc::clone(shard);
-                cache.touch(key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs_count!("core.store.shard_hit");
-                return shard;
-            }
+        if let Some(shard) = self.cached_shard(key, cache) {
+            return shard;
         }
         let built = Arc::new(self.build_missed(key));
         let mut cache = lock_unpoisoned(cache);
@@ -529,6 +545,17 @@ impl BasePaths {
         cache.map.insert(key, Arc::clone(&built));
         cache.order.push_back(key);
         built
+    }
+
+    /// The bounded store's shard `key` if resident, marked most recently
+    /// used and counted as a hit.
+    fn cached_shard(&self, key: u32, cache: &Mutex<ShardCache>) -> Option<Arc<Shard>> {
+        let mut cache = lock_unpoisoned(cache);
+        let shard = Arc::clone(cache.map.get(&key)?);
+        cache.touch(key);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        obs_count!("core.store.shard_hit");
+        Some(shard)
     }
 }
 
@@ -566,7 +593,7 @@ impl BasePathOracle for BasePaths {
             Residency::All(slots) => f(self.resident_tree(slots, source)),
             Residency::Bounded { max_shards, cache } => {
                 let shard = self.bounded_shard(source, *max_shards, cache);
-                f(&shard.trees[source.index() - shard.first as usize])
+                f(shard.tree(source))
             }
         }
     }
@@ -618,6 +645,32 @@ impl BasePathOracle for BasePaths {
             record_repair_work(work);
             path
         })
+    }
+
+    /// Walks the resident tree of the segment start. A bounded store
+    /// whose shard for it is absent answers with
+    /// [`CsrGraph::longest_tree_prefix`] instead — the same answer, from
+    /// a search that stops once the prefix ends — and builds, inserts and
+    /// evicts nothing (`core.store.prefix_probe`,
+    /// `spt.prefix_probe.settled`).
+    fn longest_base_prefix(&self, path: &Path, from: usize) -> usize {
+        assert!(from < path.nodes().len(), "from out of range");
+        let source = path.nodes()[from];
+        match &self.residency {
+            Residency::All(slots) => tree_prefix(self.resident_tree(slots, source), path, from),
+            Residency::Bounded { cache, .. } => {
+                if let Some(shard) = self.cached_shard(self.shard_of(source), cache) {
+                    return tree_prefix(shard.tree(source), path, from);
+                }
+                self.probes.fetch_add(1, Ordering::Relaxed);
+                obs_count!("core.store.prefix_probe");
+                let (j, settled) = self.csr.longest_tree_prefix(path, from);
+                obs_record!("spt.prefix_probe.settled", settled as u64);
+                // Silence unused-variable lint when the obs feature is off.
+                let _ = settled;
+                j
+            }
+        }
     }
 }
 

@@ -285,13 +285,14 @@ impl PaperScaleReport {
         let s = &self.store;
         out.push_str(&format!(
             "store: {} trees resident ({:.1} MiB), {} hits / {} misses, \
-             {} evicted, {} shard builds\n",
+             {} evicted, {} shard builds, {} probes\n",
             s.resident_trees,
             s.resident_bytes as f64 / (1u64 << 20) as f64,
             s.hits,
             s.misses,
             s.evicted_trees,
             s.shard_builds,
+            s.probes,
         ));
         out
     }

@@ -23,6 +23,10 @@
 //!   failure-repair kernel every restoration runs: it re-settles only the
 //!   subtrees a failure detaches from a provisioned tree, and with a
 //!   target stops once the target settles (see the `repair` module);
+//! * [`CsrGraph::longest_tree_prefix`] — how far a path follows the tree
+//!   of one of its nodes, from a Dijkstra that stops once the answer is
+//!   known (greedy decomposition's question on a store that does not
+//!   hold that tree), sharing [`CsrGraph::point_to_point`]'s settle loop;
 //! * [`batch`] — the batched multi-source kernel ([`SptBatchScratch`],
 //!   [`CsrGraph::full_tree_batch`]): structure-of-arrays scratch and an
 //!   indexed 4-ary decrease-key heap for provisioning sweeps, where one
@@ -37,6 +41,7 @@
 
 use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{CostModel, EdgeId, FailureSet, Graph, NodeId, Path, ShortestPathTree};
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -560,8 +565,8 @@ impl CsrGraph {
         }
     }
 
-    /// The point-to-point hot loop, generic over the half-edge mask
-    /// predicate (see [`CsrGraph::tree_into`]).
+    /// The point-to-point search: [`CsrGraph::settle_until`] stopping at
+    /// `t`, then the parent chain read back from the scratch.
     fn point_to_point_inner<F: Fn(u32, u32) -> bool>(
         &self,
         s: NodeId,
@@ -569,6 +574,101 @@ impl CsrGraph {
         scratch: &mut DijkstraScratch,
         masked: F,
     ) -> Option<Path> {
+        let ti = t.index();
+        if !self.settle_until(s.index(), scratch, masked, |u, _| u == ti) {
+            return None;
+        }
+
+        // Walk the parent chain back from `t` (cold: runs once per query).
+        let recs = &scratch.nodes;
+        let mut nodes = vec![t];
+        let mut edges = Vec::new();
+        let mut at = ti;
+        while recs[at].parent_node != NO_NODE {
+            edges.push(EdgeId::new(recs[at].parent_edge as usize));
+            let pn = recs[at].parent_node as usize;
+            nodes.push(NodeId::new(pn));
+            at = pn;
+        }
+        nodes.reverse();
+        edges.reverse();
+        Some(Path::from_parts_unchecked(nodes, edges))
+    }
+
+    /// How far `path` runs along the canonical shortest-path tree of its
+    /// node `from` over the unfailed graph: the largest `j ≥ from` such
+    /// that every hop of `path[from..=j]` is a tree step, plus the number
+    /// of nodes the search settled.
+    ///
+    /// The answer equals walking [`ShortestPathTree::is_tree_step`] over
+    /// [`full_tree`](CsrGraph::full_tree) of `path.nodes()[from]`, but the
+    /// Dijkstra stops at the first of: the path's next node settling
+    /// with a parent node or edge other than the path's; the last node
+    /// being accepted; the path's next node having settled already when
+    /// the prefix advanced (the node just accepted settled first, so it
+    /// cannot be that node's tree parent). Padded costs make every
+    /// shortest path unique, so a node's parent is final once it settles
+    /// and the early answer is exact. Greedy decomposition asks exactly
+    /// this question of a tree it does not hold.
+    ///
+    /// Runs on this thread's scratch, allocating nothing once it has
+    /// grown to the graph.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range for the path or the path names a
+    /// node outside this graph.
+    pub fn longest_tree_prefix(&self, path: &Path, from: usize) -> (usize, usize) {
+        let (nodes, edges) = (path.nodes(), path.edges());
+        assert!(from < nodes.len(), "from out of range");
+        let source = nodes[from].index();
+        assert!(source < self.n, "source {source} out of range");
+        let last = nodes.len() - 1;
+        if from == last {
+            return (from, 0);
+        }
+        with_scratch(|scratch| {
+            let before = scratch.settled_total;
+            let mut j = from;
+            self.settle_until(
+                source,
+                scratch,
+                |_, _| false,
+                |u, run| {
+                    if u != nodes[j + 1].index() {
+                        return false;
+                    }
+                    let step = (nodes[j].index() as u32, edges[j].index() as u32);
+                    if run.parent(u) != step {
+                        return true;
+                    }
+                    j += 1;
+                    j == last || run.settled(nodes[j + 1].index())
+                },
+            );
+            (j, (scratch.settled_total - before) as usize)
+        })
+    }
+
+    /// The settle loop behind [`CsrGraph::point_to_point`] and
+    /// [`CsrGraph::longest_tree_prefix`]: Dijkstra from `s` in `scratch`,
+    /// keeping distances and parents only, generic over the half-edge
+    /// mask predicate. Each node `u` is handed to `stop(u, run)` as it
+    /// settles, before its edges are relaxed; the search ends as soon as
+    /// `stop` returns true. Returns whether it did, or `false` once every
+    /// reachable node settled. Either way `scratch` holds this run's
+    /// records.
+    fn settle_until<F, S>(
+        &self,
+        s: usize,
+        scratch: &mut DijkstraScratch,
+        masked: F,
+        mut stop: S,
+    ) -> bool
+    where
+        F: Fn(u32, u32) -> bool,
+        S: FnMut(usize, Settled<'_>) -> bool,
+    {
         scratch.begin(self.n);
         let ep = scratch.epoch;
         let ep_done = ep + 1;
@@ -578,8 +678,7 @@ impl CsrGraph {
             settled_total,
             ..
         } = scratch;
-        let si = s.index();
-        recs[si] = NodeRec {
+        recs[s] = NodeRec {
             dist: 0,
             base: 0,
             stamp: ep,
@@ -587,11 +686,10 @@ impl CsrGraph {
             parent_node: NO_NODE,
             parent_edge: NO_EDGE,
         };
-        heap.push(Reverse(heap_key(0, si as u32)));
+        heap.push(Reverse(heap_key(0, s as u32)));
 
-        // lint:hot: the settle loop. The cold target-reached exit drops out
-        // of the region so path reconstruction can allocate freely.
-        let mut found = false;
+        // lint:hot: the settle loop. The cold stop exit drops out of the
+        // region so the caller can read the records freely.
         while let Some(Reverse(key)) = heap.pop() {
             let u = (key & NODE_MASK) as usize;
             if recs[u].stamp == ep_done {
@@ -600,10 +698,12 @@ impl CsrGraph {
             let d = recs[u].dist;
             recs[u].stamp = ep_done;
             *settled_total += 1;
-            if u == t.index() {
-                found = true;
-                heap.clear();
-                break;
+            let run = Settled {
+                recs,
+                done: ep_done,
+            };
+            if stop(u, run) {
+                return true;
             }
             // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
             let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
@@ -625,24 +725,43 @@ impl CsrGraph {
                 }
             }
         }
-        if !found {
-            return None;
-        }
-
-        // Walk the parent chain back from `t` (cold: runs once per query).
-        let mut nodes = vec![t];
-        let mut edges = Vec::new();
-        let mut at = t.index();
-        while recs[at].parent_node != NO_NODE {
-            edges.push(EdgeId::new(recs[at].parent_edge as usize));
-            let pn = recs[at].parent_node as usize;
-            nodes.push(NodeId::new(pn));
-            at = pn;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(nodes, edges))
+        false
     }
+}
+
+/// A [`CsrGraph::settle_until`] run as its stop callback sees it.
+struct Settled<'a> {
+    recs: &'a [NodeRec],
+    /// The settled stamp of this run.
+    done: u32,
+}
+
+impl Settled<'_> {
+    /// Whether `v` has settled in this run.
+    #[inline]
+    fn settled(&self, v: usize) -> bool {
+        self.recs[v].stamp == self.done
+    }
+
+    /// `(parent node, parent edge)` of `v` as last relaxed — final once
+    /// `v` has settled.
+    #[inline]
+    fn parent(&self, v: usize) -> (u32, u32) {
+        (self.recs[v].parent_node, self.recs[v].parent_edge)
+    }
+}
+
+/// Runs `f` with this thread's [`DijkstraScratch`] for
+/// [`CsrGraph::longest_tree_prefix`]; a re-entrant call gets a fresh one
+/// instead of panicking.
+fn with_scratch<R>(f: impl FnOnce(&mut DijkstraScratch) -> R) -> R {
+    thread_local! {
+        static SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new(0));
+    }
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut scratch) => f(&mut scratch),
+        Err(_) => f(&mut DijkstraScratch::new(0)),
+    })
 }
 
 /// Bitset mirror of a [`FailureSet`] sized to one [`CsrGraph`]: the masked

@@ -18,7 +18,7 @@
 //! stale, never garbage. When no profiler is running the per-span cost
 //! is one relaxed atomic load.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
 use std::thread;
 use std::time::Duration;
@@ -161,7 +161,9 @@ fn take_sample(into: &mut RawProfile) {
 #[derive(Debug)]
 pub struct Profiler {
     stop: Arc<AtomicBool>,
-    handle: thread::JoinHandle<(RawProfile, u64)>,
+    /// Sampling rounds completed so far, published by the sampler.
+    rounds: Arc<AtomicU64>,
+    handle: thread::JoinHandle<RawProfile>,
 }
 
 impl Profiler {
@@ -170,32 +172,46 @@ impl Profiler {
     pub fn start(interval: Duration) -> Profiler {
         let interval = interval.max(Duration::from_micros(50));
         let stop = Arc::new(AtomicBool::new(false));
-        let thread_stop = Arc::clone(&stop);
+        let rounds = Arc::new(AtomicU64::new(0));
+        let (thread_stop, thread_rounds) = (Arc::clone(&stop), Arc::clone(&rounds));
         PROFILING.store(true, Ordering::Release);
         let handle = thread::Builder::new()
             .name("rbpc-profiler".to_string())
             .spawn(move || {
                 let mut raw = RawProfile::new();
-                let mut rounds = 0u64;
                 while !thread_stop.load(Ordering::Acquire) {
                     take_sample(&mut raw);
-                    rounds += 1;
+                    // Release: a reader that sees this count also sees
+                    // that the round's sample was taken.
+                    thread_rounds.fetch_add(1, Ordering::Release);
                     thread::sleep(interval);
                 }
-                (raw, rounds)
+                raw
             })
             .expect("spawning the profiler sampler thread failed");
-        Profiler { stop, handle }
+        Profiler {
+            stop,
+            rounds,
+            handle,
+        }
+    }
+
+    /// Sampling rounds completed so far. A round is counted once its
+    /// sample is taken, so spans that were open when this read `r` have
+    /// been sampled by the time it reads `r + 2`.
+    pub fn rounds(&self) -> u64 {
+        self.rounds.load(Ordering::Acquire)
     }
 
     /// Stops sampling and resolves the counts into a report.
     pub fn stop(self) -> ProfileReport {
         PROFILING.store(false, Ordering::Release);
         self.stop.store(true, Ordering::Release);
-        let (raw, rounds) = match self.handle.join() {
-            Ok(result) => result,
+        let raw = match self.handle.join() {
+            Ok(raw) => raw,
             Err(panic) => std::panic::resume_unwind(panic),
         };
+        let rounds = self.rounds.load(Ordering::Acquire);
         let mut stacks: Vec<(String, u64)> = raw
             .into_iter()
             .map(|(frames, count)| {
@@ -266,13 +282,28 @@ mod tests {
     use super::*;
     use crate::Span;
 
+    /// Serializes the tests that start a profiler: the profiling flag is
+    /// process-global, so one test's `stop` would otherwise stop another
+    /// test's spans from being tracked.
+    fn one_profiler() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     #[test]
     fn profiler_catches_open_spans() {
+        let _one = one_profiler();
         let profiler = Profiler::start(Duration::from_micros(100));
         {
             let _outer = Span::enter("profile.test.outer");
             let _inner = Span::enter("profile.test.inner");
-            thread::sleep(Duration::from_millis(50));
+            // Hold the spans until a whole round has sampled them, however
+            // loaded the host; the deadline only bounds a wedged sampler.
+            let seen = profiler.rounds() + 2;
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while profiler.rounds() < seen && std::time::Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
         }
         let report = profiler.stop();
         assert!(!report.is_empty(), "sampler saw no spans in 50ms");
@@ -295,6 +326,7 @@ mod tests {
     fn frames_balance_across_profiler_lifetime() {
         // A span entered before the profiler starts owes no pop; one
         // entered while it runs owes exactly one.
+        let _one = one_profiler();
         let early = push_frame("profile.test.balance.early");
         let profiler = Profiler::start(Duration::from_millis(1));
         let tracked = push_frame("profile.test.balance.tracked");

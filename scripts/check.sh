@@ -67,6 +67,9 @@ cargo test --release --test csr_parallel -q
 echo "== SPT repair property test (release: CSR repair kernel == generic engine == rebuild)"
 cargo test --release --test spt_repair -q
 
+echo "== prefix probe property test (release: early-exit probe == full-tree walk; bounded decomposition == all-resident)"
+cargo test --release --test prefix_probe -q
+
 echo "== batched SPT kernel property test (release: bit-identical to scalar across masks/batches/threads)"
 cargo test --release --test spt_batch -q
 
