@@ -17,8 +17,17 @@
 //!   and a failure bitmask), the full-tree path the stores run now; the
 //!   bench gate holds it ≥ 1.5× faster than `clone_repair` on
 //!   `powerlaw_5000`.
+//! * `event_paths` (`isp_200`, `gnm_1000`) — one failure event's
+//!   restorations from one source: the base-path store's `path_under` to
+//!   every target the failure detaches, in index order. The failed edge
+//!   is the tree edge at the 90th percentile of subtree size (5 and 9
+//!   targets), since the median one detaches a single node. The first
+//!   call repairs until its target settles and the others resume that
+//!   repair. Iterations alternate between two stores over the same
+//!   graph, so each starts a fresh repair instead of resuming the last.
 
 use rbpc_bench::{criterion_group, criterion_main, BatchSize, Criterion};
+use rbpc_core::{BasePathOracle, BasePaths};
 use rbpc_graph::{
     repair_after_failure, shortest_path_tree, CostModel, CsrGraph, EdgeId, FailureMask, FailureSet,
     Metric, NodeId, ShortestPathTree,
@@ -26,17 +35,24 @@ use rbpc_graph::{
 use rbpc_topo::{gnm_connected, internet_like_scaled};
 use std::hint::black_box;
 
-/// Picks the tree edge whose subtree size is the median over all tree
-/// edges of `tree` — a representative single-link failure.
-fn median_subtree_edge(tree: &ShortestPathTree) -> EdgeId {
-    let mut sized: Vec<(usize, EdgeId)> = (0..tree.node_count())
+/// The tree edges of `tree` with the node below each, ordered by
+/// subtree size.
+fn subtrees_by_size(tree: &ShortestPathTree) -> Vec<(usize, EdgeId, NodeId)> {
+    let mut sized: Vec<(usize, EdgeId, NodeId)> = (0..tree.node_count())
         .filter_map(|i| {
             let v = NodeId::new(i);
             let e = tree.parent_edge(v)?;
-            Some((tree.subtree(v).len(), e))
+            Some((tree.subtree(v).len(), e, v))
         })
         .collect();
     sized.sort_unstable();
+    sized
+}
+
+/// Picks the tree edge whose subtree size is the median over all tree
+/// edges of `tree` — a representative single-link failure.
+fn median_subtree_edge(tree: &ShortestPathTree) -> EdgeId {
+    let sized = subtrees_by_size(tree);
     sized[sized.len() / 2].1
 }
 
@@ -82,6 +98,28 @@ fn bench_spt_repair(c: &mut Criterion) {
         let mask = FailureMask::from_set(&csr, &failures);
         g.bench_function(format!("{name}/csr_repair"), |b| {
             b.iter(|| csr.repair_tree(&base, black_box(&mask)).0)
+        });
+        if name == "powerlaw_5000" {
+            continue;
+        }
+        // The median cut detaches a single node; an event that breaks
+        // many LSPs cuts at the 90th percentile of subtree size.
+        let sized = subtrees_by_size(&base);
+        let (_, cut, below) = sized[sized.len() * 9 / 10];
+        let failures = FailureSet::of_edge(cut);
+        let mut targets = base.subtree(below);
+        targets.sort_unstable();
+        let stores = [0, 1].map(|_| BasePaths::build(graph.clone(), model));
+        let mut turn = 0usize;
+        g.bench_function(format!("{name}/event_paths"), |b| {
+            b.iter(|| {
+                turn += 1;
+                let store = &stores[turn % 2];
+                targets
+                    .iter()
+                    .filter_map(|&t| store.path_under(source, t, black_box(&failures)))
+                    .count()
+            })
         });
     }
     g.finish();

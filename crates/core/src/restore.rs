@@ -332,11 +332,31 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
 /// the input-order merge), its FEC updates, and its unrestorable pairs.
 type PlanPart = (usize, Vec<FecUpdate>, Vec<(NodeId, NodeId)>);
 
+/// Cuts `pairs` into consecutive chunks of at least `size` pairs (the
+/// last may be shorter), each extended to the end of its last source's
+/// run of pairs, so no run of one source's pairs straddles two chunks.
+fn source_chunks(pairs: &[(NodeId, NodeId)], size: usize) -> Vec<&[(NodeId, NodeId)]> {
+    let mut chunks = Vec::new();
+    let mut rest = pairs;
+    while !rest.is_empty() {
+        let mut end = size.clamp(1, rest.len());
+        while end < rest.len() && rest[end].0 == rest[end - 1].0 {
+            end += 1;
+        }
+        let (chunk, tail) = rest.split_at(end);
+        chunks.push(chunk);
+        rest = tail;
+    }
+    chunks
+}
+
 impl<'a, O: BasePathOracle + Sync> Restorer<'a, O> {
     /// [`Restorer::failover_plan`] on `threads` worker threads.
     ///
     /// Pairs are cut into chunks claimed through an atomic index (as in
-    /// [`rbpc_graph::par_all_sources`]); each worker restores its chunks
+    /// [`rbpc_graph::par_all_sources`]); a chunk ends where a source's
+    /// run of pairs ends, so one worker restores all of a run's pairs and
+    /// resumes one repair across them. Each worker restores its chunks
     /// independently and the chunk results are concatenated in input
     /// order, so the plan — updates, unrestorable list, and their order —
     /// is identical to the sequential builder for every thread count.
@@ -351,8 +371,7 @@ impl<'a, O: BasePathOracle + Sync> Restorer<'a, O> {
             return self.failover_plan(link, pairs.iter().copied());
         }
         let failures = FailureSet::of_edge(link);
-        let chunk = pairs.len().div_ceil(threads * 4).max(1);
-        let chunks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk).collect();
+        let chunks = source_chunks(pairs, pairs.len().div_ceil(threads * 4));
         let next = std::sync::atomic::AtomicUsize::new(0);
         let mut parts: Vec<PlanPart> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
@@ -607,17 +626,60 @@ mod tests {
         let g = gnm_connected(25, 55, 7, 4);
         let o = oracle(&g);
         let r = Restorer::new(&o);
-        let pairs: Vec<_> = (0..25)
+        let mut pairs: Vec<_> = (0..25)
             .flat_map(|s| (0..25).map(move |t| (NodeId::new(s), NodeId::new(t))))
             .filter(|(s, t)| s != t)
             .collect();
+        // A source that comes back after others: two runs of its pairs.
+        pairs.extend((1..25).map(|t| (NodeId::new(0), NodeId::new(t))));
+        let threads_tried = [1usize, 2, 3, 4, 8];
+        // Pair-count chunks would split some source's run at every thread
+        // count tried here (24 pairs per source).
+        for threads in &threads_tried[1..] {
+            let old = pairs.len().div_ceil(threads * 4);
+            assert!(
+                (old..pairs.len())
+                    .step_by(old)
+                    .any(|i| pairs[i].0 == pairs[i - 1].0),
+                "threads {threads}: no run straddles an old chunk boundary"
+            );
+        }
+        let mut updates = 0;
         for link in g.edge_ids().take(5) {
             let seq = r.failover_plan(link, pairs.iter().copied());
-            for threads in [1usize, 2, 8] {
+            updates += seq.updates.len();
+            for threads in threads_tried {
                 let par = r.failover_plan_par(link, &pairs, threads);
                 assert_eq!(par, seq, "link {link}, threads {threads}");
             }
         }
+        assert!(updates > 0, "some link breaks a route");
+    }
+
+    #[test]
+    fn plan_chunks_end_at_source_boundaries() {
+        let p = |s: usize, t: usize| (NodeId::new(s), NodeId::new(t));
+        let pairs = [
+            p(0, 1),
+            p(0, 2),
+            p(0, 3),
+            p(1, 0),
+            p(2, 0),
+            p(2, 1),
+            p(0, 4),
+        ];
+        let lens = |size| -> Vec<usize> {
+            source_chunks(&pairs, size)
+                .iter()
+                .map(|c| c.len())
+                .collect()
+        };
+        assert_eq!(lens(1), [3, 1, 2, 1]);
+        assert_eq!(lens(2), [3, 3, 1]);
+        assert_eq!(lens(4), [4, 3]);
+        assert_eq!(lens(0), [3, 1, 2, 1]);
+        assert_eq!(lens(100), [7]);
+        assert!(source_chunks(&[], 3).is_empty());
     }
 
     #[test]

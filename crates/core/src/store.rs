@@ -57,7 +57,7 @@
 use crate::basepaths::{default_threads, tree_prefix, BasePathOracle};
 use rbpc_graph::{
     par_all_sources_csr, CostModel, CsrGraph, DijkstraScratch, FailureMask, FailureSet, Graph,
-    NodeId, ParStats, Path, RepairWork, ShortestPathTree,
+    NodeId, ParStats, Path, RepairWork, ShortestPathTree, TreeOwner,
 };
 use rbpc_obs::{obs_count, obs_record, obs_span, obs_trace};
 use std::collections::BTreeMap;
@@ -244,8 +244,11 @@ enum Residency {
 /// [`par_all_sources_csr`] over a [`CsrGraph`] built once at
 /// construction. A post-failure tree or path is repaired from the
 /// resident tree on the same CSR ([`CsrGraph::repair_tree`],
-/// [`CsrGraph::repair_path`]) and never cached, so the store stays
-/// canonical.
+/// [`CsrGraph::resume_path`]) and never cached, so the store stays
+/// canonical. Each store is its trees' [`TreeOwner`]: its tree of a
+/// source is the same canonical tree after any eviction and rebuild, so
+/// a thread's `path_under` calls for one source under one failure set
+/// resume a single repair instead of repeating it.
 ///
 /// # Residency
 ///
@@ -286,6 +289,8 @@ pub struct BasePaths {
     evicted: AtomicU64,
     builds: AtomicU64,
     probes: AtomicU64,
+    resumed: AtomicU64,
+    owner: TreeOwner,
 }
 
 /// [`BasePaths`] built all-resident, every source's tree provisioned up
@@ -321,6 +326,10 @@ pub struct ShardedStoreStats {
     /// with an early-exit search because the segment start's shard was
     /// absent (each built nothing and evicted nothing).
     pub probes: u64,
+    /// `path_under` repairs that resumed the same thread's previous
+    /// repair of the same source under the same failures instead of
+    /// starting over.
+    pub resumed_repairs: u64,
 }
 
 impl BasePaths {
@@ -400,6 +409,8 @@ impl BasePaths {
             evicted: AtomicU64::new(0),
             builds: AtomicU64::new(0),
             probes: AtomicU64::new(0),
+            resumed: AtomicU64::new(0),
+            owner: TreeOwner::new(),
         }
     }
 
@@ -429,6 +440,8 @@ impl BasePaths {
             evicted_trees: self.evicted.load(Ordering::Relaxed),
             shard_builds: self.builds.load(Ordering::Relaxed),
             probes: self.probes.load(Ordering::Relaxed),
+            // lint:allow(atomics-order) — a display-only statistics total read for a report
+            resumed_repairs: self.resumed.load(Ordering::Relaxed),
         }
     }
 
@@ -628,8 +641,11 @@ impl BasePathOracle for BasePaths {
         })
     }
 
-    /// Repairs with [`CsrGraph::repair_path`], which stops once `t`
-    /// settles and clones no tree.
+    /// Repairs with [`CsrGraph::resume_path`], which stops once `t`
+    /// settles, clones no tree, and carries on from this thread's
+    /// previous repair of `s` under the same failures if that was the
+    /// last repair the thread ran (counted as
+    /// [`resumed_repairs`](ShardedStoreStats::resumed_repairs)).
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
         if failures.is_empty() {
             return self.base_path(s, t);
@@ -641,7 +657,11 @@ impl BasePathOracle for BasePaths {
         self.with_spt(s, |base| {
             let _t = obs_trace!("spt.repair", cat: "lookup", source = s.index());
             let _span = obs_span!("spt.repair.ns");
-            let (path, work) = self.csr.repair_path(base, &mask, t);
+            let (path, work) = self.csr.resume_path(base, &mask, t, &self.owner);
+            if work.resumed {
+                // lint:allow(atomics-order) — a display-only statistics total, independently exact; the repair state itself is thread-local
+                self.resumed.fetch_add(1, Ordering::Relaxed);
+            }
             record_repair_work(work);
             path
         })

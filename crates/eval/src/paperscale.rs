@@ -161,7 +161,8 @@ impl SweepWindow {
              \"latency_ns\":{{\"count\":{},\"mean\":{:.1},\"p50\":{},\"p95\":{},\
              \"p99\":{},\"max\":{}}},\
              \"store\":{{\"resident_trees\":{},\"resident_bytes\":{},\
-             \"hits\":{},\"misses\":{},\"evicted_trees\":{},\"shard_builds\":{}}}}}",
+             \"hits\":{},\"misses\":{},\"evicted_trees\":{},\"shard_builds\":{},\
+             \"resumed_repairs\":{}}}}}",
             self.run_id,
             self.window,
             self.sources,
@@ -181,6 +182,7 @@ impl SweepWindow {
             s.misses,
             s.evicted_trees,
             s.shard_builds,
+            s.resumed_repairs,
         )
     }
 }
@@ -285,7 +287,7 @@ impl PaperScaleReport {
         let s = &self.store;
         out.push_str(&format!(
             "store: {} trees resident ({:.1} MiB), {} hits / {} misses, \
-             {} evicted, {} shard builds, {} probes\n",
+             {} evicted, {} shard builds, {} probes, {} resumed repairs\n",
             s.resident_trees,
             s.resident_bytes as f64 / (1u64 << 20) as f64,
             s.hits,
@@ -293,6 +295,7 @@ impl PaperScaleReport {
             s.evicted_trees,
             s.shard_builds,
             s.probes,
+            s.resumed_repairs,
         ));
         out
     }
@@ -527,6 +530,10 @@ mod tests {
                 Some(report.run_id.as_str())
             );
             assert!(v.get("store").and_then(|s| s.get("misses")).is_some());
+            assert!(v
+                .get("store")
+                .and_then(|s| s.get("resumed_repairs"))
+                .is_some());
         }
     }
 

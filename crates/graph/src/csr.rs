@@ -19,10 +19,12 @@
 //!   record per node (so a relaxation touches one cache line, not six
 //!   parallel arrays) plus a heap of 16-byte node-packed keys, with
 //!   epoch-stamped visited marks so resetting between runs is O(1);
-//! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] — the
-//!   failure-repair kernel every restoration runs: it re-settles only the
-//!   subtrees a failure detaches from a provisioned tree, and with a
-//!   target stops once the target settles (see the `repair` module);
+//! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
+//!   [`CsrGraph::resume_path`] — the failure-repair kernel every
+//!   restoration runs: it re-settles only the subtrees a failure detaches
+//!   from a provisioned tree, with a target stops once the target
+//!   settles, and under a [`TreeOwner`] resumes the last run of the same
+//!   tree and failures (see the `repair` module);
 //! * [`CsrGraph::longest_tree_prefix`] — how far a path follows the tree
 //!   of one of its nodes, from a Dijkstra that stops once the answer is
 //!   known (greedy decomposition's question on a store that does not
@@ -49,7 +51,7 @@ pub mod batch;
 mod repair;
 
 pub use batch::SptBatchScratch;
-pub use repair::RepairWork;
+pub use repair::{RepairWork, TreeOwner};
 
 /// A [`Graph`] + [`CostModel`] frozen into flat CSR arrays for batch
 /// shortest-path computation.

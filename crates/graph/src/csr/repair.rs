@@ -17,21 +17,41 @@
 //! 4. **Settle** — Dijkstra restricted to the region, over the packed
 //!    half-edges (perturbed and base weights precomputed) with one
 //!    [`FailureMask`] bit test per half-edge, the packed [`heap_key`] and
-//!    the settled-stamp discipline of the full-tree kernel.
+//!    the settled-stamp discipline of the full-tree kernel. A settled
+//!    node's edges are relaxed before the loop checks for the target, so
+//!    the heap it leaves behind is a valid Dijkstra frontier.
+//! 5. **Resume** — [`CsrGraph::resume_path`] keeps that frontier. A later
+//!    call for the same tree and the same failures skips steps 1–3: it
+//!    reads the path at once when its target has settled or lies outside
+//!    the region, and otherwise pops the same heap until the target
+//!    settles. One failure event's restorations from one source thus
+//!    cost at most one full repair between them.
 //!
-//! With a target ([`CsrGraph::repair_path`]) the search stops as soon as
-//! the target settles. Padded costs make every shortest path unique (the
-//! restorable tiebreaking of Bodwin–Parter), so a settled node's parent is
-//! final and its parent is either settled too or outside the region: the
-//! path reads repaired entries from the scratch and everything else from
-//! the untouched base tree, with no tree clone. Without a target
-//! ([`CsrGraph::repair_tree`]) the whole region settles and its entries
-//! are written into a clone of the base tree.
+//! The resume key is the pair ([`TreeOwner`], source) plus the mask's
+//! edge and node words, compared bit for bit — never an address or a
+//! hash. Only the caller knows that every tree it passes under one owner
+//! is the canonical tree of its source (a base-path store's trees are,
+//! even after eviction and rebuild), so the caller supplies the owner;
+//! [`CsrGraph::repair_path`] takes none and never resumes. Every fresh
+//! run, [`CsrGraph::repair_tree`] included, drops the key, and a resumed
+//! run drops it before it settles anything, so a panic mid-settle cannot
+//! leave a stale one.
 //!
-//! Both forms are **bit-identical** to
+//! With a target ([`CsrGraph::repair_path`], [`CsrGraph::resume_path`])
+//! the search stops as soon as the target settles. Padded costs make
+//! every shortest path unique (the restorable tiebreaking of
+//! Bodwin–Parter), so a settled node's parent is final and its parent is
+//! either settled too or outside the region: the path reads repaired
+//! entries from the scratch and everything else from the untouched base
+//! tree, with no tree clone. Without a target ([`CsrGraph::repair_tree`])
+//! the whole region settles and its entries are written into a clone of
+//! the base tree.
+//!
+//! Every form is **bit-identical** to
 //! [`repair_after_failures`](crate::repair_after_failures) over the
 //! equivalent [`FailureView`](crate::FailureView), and therefore to a full
-//! rebuild; `tests/spt_repair.rs` at the repository root pins this.
+//! rebuild; `tests/spt_repair.rs` and `tests/repair_resume.rs` at the
+//! repository root pin this.
 
 use super::{for_each_bit, heap_key, CsrGraph, FailureMask, NodeRec, EMPTY_REC, NODE_MASK};
 use crate::spt::{NO_EDGE, NO_NODE};
@@ -39,9 +59,10 @@ use crate::{EdgeId, NodeId, Path, ShortestPathTree};
 use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What one [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] call
-/// did.
+/// What one [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
+/// [`CsrGraph::resume_path`] call did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RepairWork {
     /// Nodes in the detached region — the same count as
@@ -49,14 +70,68 @@ pub struct RepairWork {
     /// Zero when no tree edge failed.
     pub nodes_touched: usize,
     /// Region nodes settled before the search stopped: all reachable
-    /// ones for a full tree, fewer when a target settles early.
+    /// ones for a full tree, fewer when a target settles early. A resumed
+    /// call counts every node its run has settled so far.
     pub settled: usize,
+    /// Whether the call resumed the previous call's run instead of
+    /// starting a fresh one.
+    pub resumed: bool,
+}
+
+/// A process-unique name for a family of base trees that
+/// [`CsrGraph::resume_path`] may resume across calls: each source has
+/// exactly one tree under one owner. Owners are never reused and cannot
+/// be cloned, so two owners never name the same run.
+#[derive(Debug)]
+pub struct TreeOwner(u64);
+
+impl TreeOwner {
+    /// A fresh owner, distinct from every other owner in the process.
+    pub fn new() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        // lint:allow(atomics-order) — a pure id counter; uniqueness needs only the atomic RMW, no ordering with other memory
+        TreeOwner(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Default for TreeOwner {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// The run an arena holds, as [`CsrGraph::resume_path`] keys it: the
+/// owner id, the source, and the mask's words.
+#[derive(Debug, Default)]
+struct ResumeKey {
+    owner: u64,
+    source: usize,
+    edges: Vec<u64>,
+    nodes: Vec<u64>,
+}
+
+impl ResumeKey {
+    fn matches(&self, owner: &TreeOwner, source: NodeId, mask: &FailureMask) -> bool {
+        self.owner == owner.0
+            && self.source == source.index()
+            && self.edges == mask.edges
+            && self.nodes == mask.nodes
+    }
+
+    fn set(&mut self, owner: &TreeOwner, source: NodeId, mask: &FailureMask) {
+        self.owner = owner.0;
+        self.source = source.index();
+        self.edges.clear();
+        self.edges.extend_from_slice(&mask.edges);
+        self.nodes.clear();
+        self.nodes.extend_from_slice(&mask.nodes);
+    }
 }
 
 /// Working memory of the repair kernel, one per thread: a 48-byte
 /// record per node, the heap, the children index (`first_kid[p]` heads
-/// `p`'s children, `next_kid[v]` links `v` to its next sibling) and the
-/// region list.
+/// `p`'s children, `next_kid[v]` links `v` to its next sibling), the
+/// region list, and the key of the run a later call may resume.
 ///
 /// Record stamps step by 4 per run: `epoch` marks a region node with no
 /// distance yet, `epoch + 1` a region node with a tentative distance,
@@ -71,10 +146,17 @@ struct RepairArena {
     next_kid: Vec<u32>,
     region: Vec<u32>,
     stack: Vec<u32>,
+    /// Region nodes settled so far this run.
+    settled: usize,
+    /// Whether `key` names the run the arena holds; the key's buffers
+    /// are kept for reuse while it does not.
+    resumable: bool,
+    key: ResumeKey,
 }
 
 impl RepairArena {
     fn begin(&mut self, n: usize) {
+        self.resumable = false;
         if self.recs.len() < n {
             self.recs.resize(n, EMPTY_REC);
         }
@@ -87,6 +169,21 @@ impl RepairArena {
         self.heap.clear();
         self.region.clear();
         self.stack.clear();
+        self.settled = 0;
+    }
+
+    /// Whether the arena holds the run of `owner`'s tree of `source`
+    /// under exactly `mask`.
+    fn holds(&self, owner: &TreeOwner, source: NodeId, mask: &FailureMask) -> bool {
+        self.resumable && self.key.matches(owner, source, mask)
+    }
+
+    fn work(&self, resumed: bool) -> RepairWork {
+        RepairWork {
+            nodes_touched: self.region.len(),
+            settled: self.settled,
+            resumed,
+        }
     }
 
     /// Whether `v` settled in the last run.
@@ -165,7 +262,9 @@ impl CsrGraph {
             );
         }
         with_arena(|arena| {
-            let work = self.repair_inner(base, mask, None, arena);
+            self.detach(base, mask, arena);
+            self.settle(base, mask, usize::MAX, arena);
+            let work = arena.work(false);
             let mut tree = base.clone();
             for &v in &arena.region {
                 let vi = v as usize;
@@ -204,14 +303,64 @@ impl CsrGraph {
         mask: &FailureMask,
         target: NodeId,
     ) -> (Option<Path>, RepairWork) {
+        self.targeted(base, mask, target, None)
+    }
+
+    /// [`repair_path`](CsrGraph::repair_path) that resumes this thread's
+    /// previous run when that run repaired `owner`'s tree of the same
+    /// source under a bitwise-equal `mask`: it reads the path at once if
+    /// `target` has settled or lies outside the region, and otherwise
+    /// settles on from where the run stopped. Otherwise it starts a fresh
+    /// run, which a later call may resume in turn. Equal to
+    /// `repair_tree(base, mask).0.path_to(target)`.
+    ///
+    /// The caller vouches that every `base` it passes under one `owner`
+    /// is the canonical tree of its source on this graph.
+    ///
+    /// # Panics
+    ///
+    /// As [`repair_path`](CsrGraph::repair_path).
+    pub fn resume_path(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+        target: NodeId,
+        owner: &TreeOwner,
+    ) -> (Option<Path>, RepairWork) {
+        self.targeted(base, mask, target, Some(owner))
+    }
+
+    fn targeted(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+        target: NodeId,
+        owner: Option<&TreeOwner>,
+    ) -> (Option<Path>, RepairWork) {
         self.check_repair_inputs(base, mask);
         assert!(target.index() < self.n, "target {target} out of range");
-        if mask.node_failed(base.source()) || mask.node_failed(target) {
+        let source = base.source();
+        if mask.node_failed(source) || mask.node_failed(target) {
             return (None, RepairWork::default());
         }
+        let ti = target.index();
         with_arena(|arena| {
-            let work = self.repair_inner(base, mask, Some(target.index()), arena);
-            (arena.path_to(base, target), work)
+            let resumed = owner.is_some_and(|o| arena.holds(o, source, mask));
+            // Dropped while settling: a panic must not leave the key.
+            arena.resumable = false;
+            if !resumed {
+                self.detach(base, mask, arena);
+            }
+            if arena.in_region(ti) && !arena.settled(ti) {
+                self.settle(base, mask, ti, arena);
+            }
+            if let Some(owner) = owner {
+                if !resumed {
+                    arena.key.set(owner, source, mask);
+                }
+                arena.resumable = true;
+            }
+            (arena.path_to(base, target), arena.work(resumed))
         })
     }
 
@@ -226,20 +375,13 @@ impl CsrGraph {
         mask.check_dims(self.n, self.m);
     }
 
-    /// The repair kernel: detaches the region below every failed tree
-    /// edge, seeds it from outside, and settles it — all of it, or until
-    /// `target` settles. Results stay in `arena`. The source must be
-    /// alive.
-    fn repair_inner(
-        &self,
-        base: &ShortestPathTree,
-        mask: &FailureMask,
-        target: Option<usize>,
-        arena: &mut RepairArena,
-    ) -> RepairWork {
+    /// Starts a fresh run in `arena`: detaches the region below every
+    /// failed tree edge and seeds it from outside, ready for
+    /// [`settle`](CsrGraph::settle). The source must be alive.
+    fn detach(&self, base: &ShortestPathTree, mask: &FailureMask, arena: &mut RepairArena) {
         arena.begin(self.n);
         let ep = arena.epoch;
-        let (ep_seen, ep_done) = (ep + 1, ep + 2);
+        let ep_seen = ep + 1;
         let RepairArena {
             recs,
             heap,
@@ -270,7 +412,7 @@ impl CsrGraph {
             }
         });
         if stack.is_empty() {
-            return RepairWork::default();
+            return;
         }
 
         // The region: every subtree below a root, deduplicated by stamp.
@@ -328,8 +470,22 @@ impl CsrGraph {
                 heap.push(Reverse(heap_key(recs[ai].dist, a)));
             }
         }
+    }
 
-        let stop = target.unwrap_or(usize::MAX);
+    /// Settles the arena's region in Dijkstra order until `stop` settles
+    /// or the heap empties. Every settled node's edges are relaxed before
+    /// the loop checks for `stop`, so the heap stays a valid frontier and
+    /// a later call may continue from it.
+    fn settle(
+        &self,
+        base: &ShortestPathTree,
+        mask: &FailureMask,
+        stop: usize,
+        arena: &mut RepairArena,
+    ) {
+        let ep = arena.epoch;
+        let (ep_seen, ep_done) = (ep + 1, ep + 2);
+        let RepairArena { recs, heap, .. } = arena;
         let mut settled = 0usize;
         // lint:hot: the settle loop — every restoration's repair runs here.
         while let Some(Reverse(key)) = heap.pop() {
@@ -341,9 +497,6 @@ impl CsrGraph {
             settled += 1;
             let (d, ub, uh) = (recs[u].dist, recs[u].base, recs[u].hops);
             debug_assert!(d >= base.dist[u], "a deletion shortened a path");
-            if u == stop {
-                break;
-            }
             for he in self.half_edges(u) {
                 let vt = he.target;
                 let rec = &mut recs[vt as usize];
@@ -365,11 +518,11 @@ impl CsrGraph {
                     heap.push(Reverse(heap_key(nd, vt)));
                 }
             }
+            if u == stop {
+                break;
+            }
         }
-        RepairWork {
-            nodes_touched: region.len(),
-            settled,
-        }
+        arena.settled += settled;
     }
 }
 

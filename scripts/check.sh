@@ -70,6 +70,9 @@ cargo test --release --test spt_repair -q
 echo "== prefix probe property test (release: early-exit probe == full-tree walk; bounded decomposition == all-resident)"
 cargo test --release --test prefix_probe -q
 
+echo "== resumed repair property test (release: resumed path == full repair's path; <= one repair per (event, source))"
+cargo test --release --test repair_resume -q
+
 echo "== batched SPT kernel property test (release: bit-identical to scalar across masks/batches/threads)"
 cargo test --release --test spt_batch -q
 
