@@ -14,7 +14,7 @@
 //! trees are canonical for a given `(metric, seed)`.
 
 use rbpc_graph::{
-    shortest_path_tree, CostModel, FailureSet, Graph, NodeId, Path, PathCost, ShortestPathTree,
+    shortest_path_tree, CostModel, FailureSet, Graph, NodeId, Path, ShortestPathTree,
 };
 use rbpc_obs::obs_span;
 
@@ -94,11 +94,6 @@ pub trait BasePathOracle {
     /// Original-metric distance from `s` to `t`.
     fn base_dist(&self, s: NodeId, t: NodeId) -> Option<u64> {
         self.with_spt(s, |spt| spt.base_dist(t))
-    }
-
-    /// Full cost (base, perturbed, hops) from `s` to `t`.
-    fn base_cost(&self, s: NodeId, t: NodeId) -> Option<PathCost> {
-        self.with_spt(s, |spt| spt.cost_to(t))
     }
 
     /// Whether `path` is exactly the canonical base path between its
@@ -227,7 +222,6 @@ mod tests {
         let oracle = DenseBasePaths::build(g, model());
         assert_eq!(oracle.base_path(0.into(), 2.into()), None);
         assert_eq!(oracle.base_dist(0.into(), 2.into()), None);
-        assert_eq!(oracle.base_cost(0.into(), 2.into()), None);
     }
 
     #[test]

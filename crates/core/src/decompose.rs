@@ -10,7 +10,7 @@
 //! validate the greedy result and for the ablation benchmarks.
 
 use crate::BasePathOracle;
-use rbpc_graph::{shortest_path_tree, FailureSet, NodeId, Path, PathCost, Topology};
+use rbpc_graph::{shortest_path_tree, FailureSet, NodeId, Path, Topology};
 use rbpc_obs::{obs_count, obs_event, obs_record, obs_trace, obs_trace_attr};
 use std::collections::VecDeque;
 
@@ -294,26 +294,26 @@ pub fn optimal_decompose<O: BasePathOracle>(
         }
         // Jump 2: surviving base paths u -> v that advance along a shortest
         // path (checked by perturbed-distance additivity, then intactness).
-        let candidates: Vec<(NodeId, PathCost)> = oracle.with_spt(u, |spt| {
+        let candidates: Vec<NodeId> = oracle.with_spt(u, |spt| {
             (0..n)
                 .filter_map(|vi| {
                     let v = NodeId::new(vi);
                     if v == u || seen[vi] {
                         return None;
                     }
-                    let c = spt.cost_to(v)?;
+                    let c = spt.perturbed_dist(v)?;
                     let dv = dist.perturbed_dist(v)?;
-                    (du + c.perturbed == dv).then_some((v, c))
+                    (du + c == dv).then_some(v)
                 })
                 .collect()
         });
-        for (v, _) in candidates {
+        for v in candidates {
             if seen[v.index()] {
                 continue;
             }
             let path = oracle
                 .base_path(u, v)
-                .expect("invariant: cost_to succeeded, so the path exists");
+                .expect("invariant: v is reachable in u's tree, so the path exists");
             let intact = path.edges().iter().all(|&e| view.edge_alive(e))
                 && path.nodes().iter().all(|&x| view.node_alive(x));
             if !intact {

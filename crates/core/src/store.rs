@@ -27,8 +27,8 @@
 //! The Internet router map has 40 377 nodes and 101 659 links. Its
 //! all-pairs base set covers `n · (n − 1) ≈ 1.63 billion` directed pairs
 //! — materializing even one `Vec` of nodes per pair is out of the
-//! question, and holding one [`ShortestPathTree`] per source (36 bytes
-//! per node per tree) would cost `40 377² · 36 ≈ 59 GB`. The paper
+//! question, and holding one [`ShortestPathTree`] per source (24 bytes
+//! per node per tree) would cost `40 377² · 24 ≈ 39 GB`. The paper
 //! sampled 40 pairs and moved on; we want the same protocol *and* sweeps
 //! the paper could not afford, under a memory budget we can state.
 //!
@@ -36,7 +36,7 @@
 //! `parent[]`/`dist[]` form already encodes the canonical base path of
 //! *every* destination implicitly: the base path `s → t` is the walk up
 //! `parent[]` from `t` to `s`, reversed — `O(len)` to materialize, zero
-//! bytes to store beyond the tree's five flat arrays. All query
+//! bytes to store beyond the tree's three flat arrays. All query
 //! primitives the restoration pipeline uses ([`base_dist`], [`path_to`],
 //! [`is_tree_step`] for greedy decomposition) read those arrays
 //! directly, so one resident tree answers `n − 1` pairs.
@@ -55,6 +55,7 @@
 //! [`is_tree_step`]: ShortestPathTree::is_tree_step
 
 use crate::basepaths::{default_threads, tree_prefix, BasePathOracle};
+pub use rbpc_graph::TREE_BYTES_PER_NODE;
 use rbpc_graph::{
     par_all_sources_csr, CostModel, CsrGraph, DijkstraScratch, FailureMask, FailureSet, Graph,
     NodeId, ParStats, Path, RepairWork, ShortestPathTree, TreeOwner,
@@ -66,14 +67,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-/// Bytes one [`ShortestPathTree`] occupies per node: `dist` (u128) +
-/// `base_dist` (u64) + `hops`, `parent_edge`, `parent_node` (u32 each).
-/// Matches [`ShortestPathTree::approx_bytes`].
-pub const TREE_BYTES_PER_NODE: usize = 16 + 8 + 4 + 4 + 4;
-
 /// Bytes a *dense* all-sources store would need on an `n`-node graph:
 /// one tree per source, [`TREE_BYTES_PER_NODE`] per node per tree. On
-/// the paper's 40 377-node router map this is ≈ 59 GB — the number that
+/// the paper's 40 377-node router map this is ≈ 39 GB — the number that
 /// motivates the bounded store (see `docs/SCALE.md`).
 pub fn dense_store_bytes(n: usize) -> u128 {
     (n as u128) * (n as u128) * (TREE_BYTES_PER_NODE as u128)
@@ -236,7 +232,7 @@ enum Residency {
 ///
 /// * `base_path(s, t)` walks `parent[]` up from `t` (materializing one
 ///   transient [`Path`] of `O(len)` nodes);
-/// * `base_dist`/`base_cost` are single array reads;
+/// * `base_dist` is a single array read;
 /// * greedy decomposition's `is_tree_step` is two array reads.
 ///
 /// Sources are grouped into shards of [`shard_size`](Self::shard_size)
@@ -334,10 +330,10 @@ pub struct ShardedStoreStats {
 
 impl BasePaths {
     /// Default sources per shard: small enough that one shard of the 40k
-    /// map is ~46 MB, large enough to amortize the parallel fan-out.
+    /// map is ~31 MB, large enough to amortize the parallel fan-out.
     pub const DEFAULT_SHARD_SIZE: usize = 32;
 
-    /// Default residency budget in trees: 512 trees ≈ 0.74 GB on the
+    /// Default residency budget in trees: 512 trees ≈ 0.50 GB on the
     /// 40 377-node router map, comfortably under commodity RAM while
     /// holding 16 default-size shards.
     pub const DEFAULT_MAX_RESIDENT_SPTS: usize = 512;
@@ -971,7 +967,7 @@ mod tests {
         assert_eq!(directed_pairs(n), 40_377 * 40_376);
         assert!(directed_pairs(n) > 1_600_000_000);
         let dense_gb = dense_store_bytes(n) as f64 / (1u64 << 30) as f64;
-        assert!((54.0..56.0).contains(&dense_gb), "dense ≈ {dense_gb} GiB");
+        assert!((36.0..37.0).contains(&dense_gb), "dense ≈ {dense_gb} GiB");
         let budget = 512 * n * TREE_BYTES_PER_NODE;
         assert!(budget < (1 << 30), "512-tree budget fits in 1 GiB");
     }

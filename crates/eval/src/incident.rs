@@ -66,19 +66,31 @@ impl TopoSpec {
     ///
     /// # Errors
     ///
-    /// Unreadable/unparsable edge-list files, or a suite case index out
+    /// G(n,m) parameters outside `1 ≤ nodes ≤ CostModel::MAX_NODES`,
+    /// `nodes − 1 ≤ edges` (and no edge on one node) or `max_weight ≥ 1`,
+    /// unreadable/unparsable edge-list files, or a suite case index out
     /// of range.
     pub fn build(&self) -> Result<(String, Graph), String> {
         match self {
-            TopoSpec::Gnm {
-                nodes,
-                edges,
+            &TopoSpec::Gnm {
+                nodes: n,
+                edges: m,
                 max_weight,
                 seed,
-            } => Ok((
-                format!("gnm-{nodes}-{edges}"),
-                rbpc_topo::gnm_connected(*nodes, *edges, *max_weight, *seed),
-            )),
+            } => {
+                if !(1..=CostModel::MAX_NODES).contains(&n) {
+                    let max = CostModel::MAX_NODES;
+                    return Err(format!("topo: `nodes` must be in 1..={max}, got {n}"));
+                }
+                if m < n - 1 || (n == 1 && m > 0) {
+                    return Err(format!("topo: {m} `edges` cannot connect {n} nodes"));
+                }
+                if max_weight == 0 {
+                    return Err("topo: `max_weight` must be at least 1".to_string());
+                }
+                let graph = rbpc_topo::gnm_connected(n, m, max_weight, seed);
+                Ok((format!("gnm-{n}-{m}"), graph))
+            }
             TopoSpec::Suite { scale, seed, case } => {
                 let suite = standard_suite(*scale, *seed);
                 let picked = suite
@@ -130,9 +142,9 @@ impl TopoSpec {
             .ok_or("topo: missing `kind`")?;
         match kind {
             "gnm" => Ok(TopoSpec::Gnm {
-                nodes: req_num(v, "nodes")? as usize,
-                edges: req_num(v, "edges")? as usize,
-                max_weight: req_num(v, "max_weight")? as u32,
+                nodes: req_num(v, "nodes")?,
+                edges: req_num(v, "edges")?,
+                max_weight: req_num(v, "max_weight")?,
                 seed: req_num(v, "seed")?,
             }),
             "suite" => Ok(TopoSpec::Suite {
@@ -142,7 +154,7 @@ impl TopoSpec {
                     other => return Err(format!("topo: bad scale {other:?}")),
                 },
                 seed: req_num(v, "seed")?,
-                case: req_num(v, "case")? as usize,
+                case: req_num(v, "case")?,
             }),
             "file" => Ok(TopoSpec::File {
                 path: v
@@ -229,16 +241,27 @@ impl IncidentHeader {
                 .and_then(|x| x.as_str())
                 .unwrap_or_default()
                 .to_string(),
-            records: req_num(v, "records")? as usize,
+            records: req_num(v, "records")?,
         })
     }
 }
 
-fn req_num(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
+/// The non-negative integer field `key`, as a `T`. Negative,
+/// fractional, non-finite and out-of-range numbers are errors, not
+/// saturated.
+fn req_num<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, String> {
+    let x = v
+        .get(key)
         .and_then(|x| x.as_f64())
-        .map(|f| f as u64)
-        .ok_or_else(|| format!("missing numeric field `{key}`"))
+        .ok_or_else(|| format!("missing numeric field `{key}`"))?;
+    // `u64::MAX as f64` rounds up to 2^64, the first value out of range.
+    if x >= 0.0 && x.fract() == 0.0 && x < u64::MAX as f64 {
+        T::try_from(x as u64).map_err(|_| format!("field `{key}` is out of range: {x}"))
+    } else {
+        Err(format!(
+            "field `{key}` must be a non-negative integer, got {x}"
+        ))
+    }
 }
 
 /// Writes a complete incident file: the header line, then one record
@@ -488,6 +511,53 @@ mod tests {
                 IncidentHeader::from_json(&json::parse(&h.to_json()).expect("header parses"))
                     .expect("header fields parse");
             assert_eq!(parsed, h);
+        }
+    }
+
+    /// `header()` with its G(n,m) numbers replaced, parsed and built.
+    fn build_gnm(nodes: &str, edges: &str, max_weight: &str) -> Result<(String, Graph), String> {
+        let text = header().to_json().replace(
+            "\"nodes\":30,\"edges\":80,\"max_weight\":9",
+            &format!("\"nodes\":{nodes},\"edges\":{edges},\"max_weight\":{max_weight}"),
+        );
+        IncidentHeader::from_json(&json::parse(&text).expect("header parses"))?
+            .topo
+            .build()
+    }
+
+    #[test]
+    fn gnm_header_rejects_bad_node_counts() {
+        assert!(build_gnm("1", "0", "4294967295").is_ok());
+        assert!(build_gnm("0", "5", "10").unwrap_err().contains("`nodes`"));
+        let over = (CostModel::MAX_NODES + 1).to_string();
+        assert!(build_gnm(&over, &over, "1")
+            .unwrap_err()
+            .contains("`nodes`"));
+    }
+
+    #[test]
+    fn gnm_header_rejects_too_few_edges() {
+        assert!(build_gnm("60", "5", "10").unwrap_err().contains("`edges`"));
+        // No edge fits on one node: the generator would search forever.
+        assert!(build_gnm("1", "3", "10").unwrap_err().contains("`edges`"));
+    }
+
+    #[test]
+    fn gnm_header_rejects_zero_or_wide_max_weight() {
+        for bad in ["0", "4294967296"] {
+            let err = build_gnm("60", "180", bad).unwrap_err();
+            assert!(err.contains("`max_weight`"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn numeric_fields_reject_negative_fractional_and_non_finite() {
+        for bad in ["-5", "30.5", "1e400", "18446744073709551616"] {
+            let err = build_gnm(bad, "80", "9").unwrap_err();
+            assert!(
+                err.contains("`nodes` must be a non-negative"),
+                "{bad}: {err}"
+            );
         }
     }
 

@@ -2,7 +2,7 @@
 //!
 //! The general-purpose [`Graph`] stores adjacency as `Vec<Vec<(NodeId,
 //! EdgeId)>>` — one heap allocation per node — and every Dijkstra call
-//! re-derives perturbed edge costs via `splitmix64` and allocates five
+//! re-derives perturbed edge costs via `splitmix64` and allocates three
 //! fresh working arrays. That is fine for one restoration, but the RBPC
 //! provisioning phase runs *n* Dijkstras (one per source), and the eval
 //! suites run thousands more. This module is the batch-friendly form of the
@@ -15,8 +15,8 @@
 //!   no hashing and no mixing;
 //! * [`FailureMask`] — a bitset mirror of [`FailureSet`] so the masked
 //!   traversal tests a bit instead of probing two ordered sets per half-edge;
-//! * [`DijkstraScratch`] — a reusable arena holding one 48-byte working
-//!   record per node (so a relaxation touches one cache line, not six
+//! * [`DijkstraScratch`] — a reusable arena holding one 32-byte working
+//!   record per node (so a relaxation touches one cache line, not four
 //!   parallel arrays) plus a heap of 16-byte node-packed keys, with
 //!   epoch-stamped visited marks so resetting between runs is O(1);
 //! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
@@ -90,14 +90,14 @@ pub struct CsrGraph {
     model: CostModel,
 }
 
-/// One half-edge of the packed adjacency: precomputed perturbed and base
-/// weights plus the neighbor and undirected edge id. Exactly 32 bytes.
+/// One half-edge of the packed adjacency: the precomputed perturbed
+/// weight plus the neighbor and undirected edge id. 24 bytes of data,
+/// padded to 32 by the `u128`'s alignment.
 #[derive(Debug, Clone, Copy)]
 struct HalfEdge {
-    /// Precomputed perturbed weight under the frozen [`CostModel`].
+    /// Precomputed perturbed weight under the frozen [`CostModel`]; the
+    /// high 64 bits are the base (original-metric) weight.
     weight: u128,
-    /// Precomputed base (original-metric) weight.
-    base: u64,
     /// Neighbor node of this half-edge.
     target: u32,
     /// Undirected edge id of this half-edge.
@@ -150,7 +150,6 @@ impl CsrGraph {
             for h in graph.neighbors(u) {
                 half.push(HalfEdge {
                     weight: model.perturbed_weight(graph, h.edge),
-                    base: model.base_weight(graph, h.edge),
                     target: h.to.index() as u32,
                     edge: h.edge.index() as u32,
                 });
@@ -198,9 +197,9 @@ impl CsrGraph {
     /// Structural self-check of the CSR arrays: offsets are monotone and
     /// cover exactly `2m` half-edges, every half-edge is in range, every
     /// undirected edge id appears exactly twice with mirrored endpoints
-    /// and identical weights, and every perturbed weight carries its base
-    /// weight in the high 64 bits (hence is at least `2^64` — the padding
-    /// discipline Theorem 3's uniqueness argument and the packed
+    /// and identical weights, and every perturbed weight carries a
+    /// non-zero base weight in the high 64 bits (hence is at least `2^64`
+    /// — the padding discipline Theorem 3's uniqueness argument and the
     /// packed heap keys both rely on).
     ///
     /// O(n + m); intended for `debug_assert!` and the validation
@@ -232,8 +231,8 @@ impl CsrGraph {
                 2 * m
             ));
         }
-        // (from, to, weight, base) per appearance of each undirected edge.
-        let mut twins: Vec<Vec<(u32, u32, u128, u64)>> = vec![Vec::new(); m];
+        // (from, to, weight) per appearance of each undirected edge.
+        let mut twins: Vec<Vec<(u32, u32, u128)>> = vec![Vec::new(); m];
         for u in 0..n {
             let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
             for he in &self.half[lo..hi] {
@@ -249,28 +248,25 @@ impl CsrGraph {
                         he.edge
                     ));
                 }
-                if he.base == 0 {
-                    return Err(format!("edge {} has zero base weight", he.edge));
-                }
-                if he.weight >> 64 != he.base as u128 {
+                if he.weight >> 64 == 0 {
                     return Err(format!(
-                        "edge {} perturbed weight does not carry its base weight \
-                         in the high 64 bits (so it is not >= 2^64-padded)",
+                        "edge {} has zero base weight in the high 64 bits of its \
+                         perturbed weight (so it is not >= 2^64-padded)",
                         he.edge
                     ));
                 }
-                twins[he.edge as usize].push((u as u32, he.target, he.weight, he.base));
+                twins[he.edge as usize].push((u as u32, he.target, he.weight));
             }
         }
         for (e, t) in twins.iter().enumerate() {
             if t.len() != 2 {
                 return Err(format!("edge {e} has {} half-edges, expected 2", t.len()));
             }
-            let ((f1, t1, w1, b1), (f2, t2, w2, b2)) = (t[0], t[1]);
+            let ((f1, t1, w1), (f2, t2, w2)) = (t[0], t[1]);
             if t1 != f2 || t2 != f1 {
                 return Err(format!("edge {e} half-edges do not mirror each other"));
             }
-            if w1 != w2 || b1 != b2 {
+            if w1 != w2 {
                 return Err(format!("edge {e} half-edges disagree on weight"));
             }
             if !matches!(self.ends.get(e), Some(&x) if x == [f1, t1] || x == [t1, f1]) {
@@ -369,7 +365,8 @@ impl CsrGraph {
             }
         }
         // Parent edges must exist in the adjacency, unmasked, with sums
-        // that match exactly (not just non-improving).
+        // that match exactly (not just non-improving). The perturbed sum
+        // implies the base sum: pads never carry into the high 64 bits.
         for v in 0..self.n {
             if !tree.reachable(NodeId::new(v)) || v == src {
                 continue;
@@ -387,12 +384,9 @@ impl CsrGraph {
                     "node {v}'s parent edge {pe} does not exist from parent {pu}"
                 ));
             };
-            if tree.dist[v] != tree.dist[pu] + he.weight
-                || tree.base_dist[v] != tree.base_dist[pu] + he.base
-                || tree.hops[v] != tree.hops[pu] + 1
-            {
+            if tree.dist[v] != tree.dist[pu] + he.weight {
                 return Err(format!(
-                    "node {v}'s distances are not parent {pu}'s plus edge {pe}"
+                    "node {v}'s distance is not parent {pu}'s plus edge {pe}"
                 ));
             }
         }
@@ -443,7 +437,7 @@ impl CsrGraph {
     /// The full-tree hot loop, generic over the half-edge mask predicate.
     ///
     /// Runs Dijkstra entirely inside the scratch arena — one record per
-    /// node, so a relaxation touches a single cache line instead of six
+    /// node, so a relaxation touches a single cache line instead of four
     /// parallel arrays — then harvests the tree with one sequential pass:
     /// each output element is written exactly once (settled value or
     /// unreachable sentinel), no sentinel prefill, no random-order
@@ -467,9 +461,7 @@ impl CsrGraph {
         let s = source.index();
         nodes[s] = NodeRec {
             dist: 0,
-            base: 0,
             stamp: ep,
-            hops: 0,
             parent_node: NO_NODE,
             parent_edge: NO_EDGE,
         };
@@ -483,7 +475,7 @@ impl CsrGraph {
             }
             nodes[u].stamp = ep_done;
             *settled_total += 1;
-            let (d, ub, uh) = (nodes[u].dist, nodes[u].base, nodes[u].hops);
+            let d = nodes[u].dist;
 
             // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
             let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
@@ -497,9 +489,7 @@ impl CsrGraph {
                 if rec.stamp != ep || nd < rec.dist {
                     *rec = NodeRec {
                         dist: nd,
-                        base: ub + he.base,
                         stamp: ep,
-                        hops: uh + 1,
                         // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
                         parent_node: u as u32,
                         parent_edge: he.edge,
@@ -514,26 +504,20 @@ impl CsrGraph {
         // odd stamp alone separates reached from unreachable.
         let n = self.n;
         let mut dist = Vec::with_capacity(n);
-        let mut base_dist = Vec::with_capacity(n);
-        let mut hops = Vec::with_capacity(n);
         let mut parent_edge = Vec::with_capacity(n);
         let mut parent_node = Vec::with_capacity(n);
         for rec in &nodes[..n] {
             if rec.stamp == ep_done {
                 dist.push(rec.dist);
-                base_dist.push(rec.base);
-                hops.push(rec.hops);
                 parent_edge.push(rec.parent_edge);
                 parent_node.push(rec.parent_node);
             } else {
                 dist.push(u128::MAX);
-                base_dist.push(u64::MAX);
-                hops.push(u32::MAX);
                 parent_edge.push(NO_EDGE);
                 parent_node.push(NO_NODE);
             }
         }
-        ShortestPathTree::from_arrays(source, dist, base_dist, hops, parent_edge, parent_node)
+        ShortestPathTree::from_arrays(source, dist, parent_edge, parent_node)
     }
 
     /// Single-pair shortest path with early exit once `t` settles, reusing
@@ -682,9 +666,7 @@ impl CsrGraph {
         } = scratch;
         recs[s] = NodeRec {
             dist: 0,
-            base: 0,
             stamp: ep,
-            hops: 0,
             parent_node: NO_NODE,
             parent_edge: NO_EDGE,
         };
@@ -875,28 +857,29 @@ impl FailureMask {
 }
 
 /// Per-node Dijkstra working record. Everything a relaxation reads or
-/// writes for node `v` lives in this one 48-byte struct, so visiting a
-/// node costs roughly one cache line instead of six parallel-array
+/// writes for node `v` lives in this one 32-byte struct, so visiting a
+/// node costs at most one cache line instead of four parallel-array
 /// accesses (the array-of-structs layout is what makes the CSR engine
 /// faster than the general path, which is memory-bound on exactly those
-/// scattered accesses).
+/// scattered accesses). Like a tree, it holds no base distance or hop
+/// count: both follow from `dist` and the parent chain.
 #[derive(Debug, Clone, Copy)]
 struct NodeRec {
     dist: u128,
-    base: u64,
     /// Merged epoch stamp: `== epoch` ⇔ touched (`dist` valid this run),
     /// `== epoch + 1` ⇔ settled this run, anything else stale.
     stamp: u32,
-    hops: u32,
     parent_node: u32,
     parent_edge: u32,
 }
 
+// Two records per cache line: a field that pushes the record past 32
+// bytes fails the build.
+const _: () = assert!(std::mem::size_of::<NodeRec>() == 32);
+
 const EMPTY_REC: NodeRec = NodeRec {
     dist: 0,
-    base: 0,
     stamp: 0,
-    hops: 0,
     parent_node: 0,
     parent_edge: 0,
 };
@@ -1202,7 +1185,6 @@ mod tests {
         // An inflated distance leaves a relaxable edge (not optimal).
         let mut t = good.clone();
         t.dist[4] += 1u128 << 64;
-        t.base_dist[4] += 1;
         assert!(csr.validate_tree(&t, None).is_err());
 
         // Rerouting a node to a non-tree parent breaks the distance sum.

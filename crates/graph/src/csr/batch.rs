@@ -8,8 +8,7 @@
 //! amortize or eliminate:
 //!
 //! * it streams 32-byte [`HalfEdge`](super::CsrGraph) records whose
-//!   precomputed `u128` weight and `u64` base are derivable from 12
-//!   bytes;
+//!   precomputed `u128` weight is derivable from 12 bytes;
 //! * it re-evaluates the failure-mask predicate (two bitset probes) for
 //!   every half-edge of every source;
 //! * its `BinaryHeap<Reverse<u128>>` has no decrease-key: every
@@ -30,15 +29,11 @@
 //!   expression), trading ~5 ALU ops for 20 bytes of memory traffic per
 //!   relaxation;
 //! * the per-node hot record ([`SptBatchScratch`]) is packed to
-//!   **exactly 32 bytes** (`dist`/`hops`/`parent_node`/`parent_edge`) —
-//!   two-thirds of the scalar record, two per cache line, never
-//!   straddling one — with the same epoch-stamped O(1) reset discipline
-//!   as the scalar scratch. The stamp itself lives in a separate
+//!   **exactly 32 bytes** (`dist`/`parent_node`/`parent_edge`), two per
+//!   cache line, with the same epoch-stamped O(1) reset discipline as
+//!   the scalar scratch. The stamp itself lives in a separate
 //!   L1-resident one-byte lane so the settled-target fast path of a
-//!   relaxation never touches the record line, and the base-metric
-//!   distance is not stored at all: it is the high 64 bits of `dist`
-//!   (44-bit pads cannot carry across bit 64 on any supported path),
-//!   recovered at harvest with one shift;
+//!   relaxation never touches the record line;
 //! * a **decrease-key frontier keyed by base distance** — one entry per
 //!   touched node, a `pos[]` array keyed by node id, 8-byte `u64` keys
 //!   (the *base* distance, not the padded `u128`; validity argument
@@ -54,7 +49,7 @@
 //!   sift depth and puts all four children's keys on one 32-byte run;
 //! * a **prefetch-friendly tree harvest**: one sequential pass over the
 //!   packed records writes each output element exactly once (settled
-//!   value or unreachable sentinel) into the flat per-field output
+//!   value or unreachable sentinel) into the tree's three per-field
 //!   arrays — no random-order stores, no sentinel prefill.
 //!
 //! # Why `u64` base-distance frontier keys are exact
@@ -95,23 +90,19 @@ use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{NodeId, ShortestPathTree};
 
 /// Per-node working record of the batched kernel. Everything a
-/// relaxation reads or writes for node `v` lives in these 32 bytes —
-/// two-thirds the scalar record, and sized so a record never straddles
-/// a cache-line boundary. The base (original-metric) distance is
-/// deliberately absent: it is the high 64 bits of `dist`, recovered at
-/// harvest time.
+/// relaxation reads or writes for node `v` lives in these 32 bytes. The
+/// base (original-metric) distance is deliberately absent: it is the
+/// high 64 bits of `dist`, and the tree derives it on demand.
 #[derive(Debug, Clone, Copy)]
 struct BatchRec {
     /// Perturbed distance; the high 64 bits are the base-metric distance.
     dist: u128,
-    hops: u32,
     parent_node: u32,
     parent_edge: u32,
 }
 
 const EMPTY_BATCH_REC: BatchRec = BatchRec {
     dist: 0,
-    hops: 0,
     parent_node: 0,
     parent_edge: 0,
 };
@@ -563,7 +554,6 @@ fn run_search<E: EdgeRec, Q: Frontier>(
     let ep_done = ep + 1;
     recs[s] = BatchRec {
         dist: 0,
-        hops: 0,
         parent_node: NO_NODE,
         parent_edge: NO_EDGE,
     };
@@ -581,7 +571,7 @@ fn run_search<E: EdgeRec, Q: Frontier>(
         );
         stamp[u] = ep_done;
         *settled_total += 1;
-        let (d, uh) = (recs[u].dist, recs[u].hops);
+        let d = recs[u].dist;
         // Pad sums along any supported path stay below 2^64 (44-bit
         // pads, < 2^20 hops), so a relaxed distance's base half is
         // always the settled base half plus the edge's base — one u64
@@ -609,7 +599,6 @@ fn run_search<E: EdgeRec, Q: Frontier>(
                 // First touch: one frontier entry, forever.
                 recs[v] = BatchRec {
                     dist: nd,
-                    hops: uh + 1,
                     parent_node: un,
                     parent_edge: edge,
                 };
@@ -625,7 +614,6 @@ fn run_search<E: EdgeRec, Q: Frontier>(
                 let ok = (recs[v].dist >> 64) as u64;
                 recs[v] = BatchRec {
                     dist: nd,
-                    hops: uh + 1,
                     parent_node: un,
                     parent_edge: edge,
                 };
@@ -672,7 +660,6 @@ fn run_search_unit(
     let ep_done = ep + 1;
     recs[s] = BatchRec {
         dist: 0,
-        hops: 0,
         parent_node: NO_NODE,
         parent_edge: NO_EDGE,
     };
@@ -690,7 +677,7 @@ fn run_search_unit(
             debug_assert_eq!(stamp[u], ep, "level queues never hold stale entries");
             stamp[u] = ep_done;
             *settled_total += 1;
-            let (d, uh) = (recs[u].dist, recs[u].hops);
+            let d = recs[u].dist;
 
             // lint:allow(hot-path) — `soff` has n+1 entries, so `u + 1` is in bounds for every settled node id
             let (lo, hi) = (soff[u] as usize, soff[u + 1] as usize);
@@ -704,7 +691,6 @@ fn run_search_unit(
                 if sv != ep {
                     recs[v] = BatchRec {
                         dist: nd,
-                        hops: uh + 1,
                         parent_node: un,
                         parent_edge: se.edge,
                     };
@@ -717,7 +703,6 @@ fn run_search_unit(
                     // place; the node's level (its key) cannot change.
                     recs[v] = BatchRec {
                         dist: nd,
-                        hops: uh + 1,
                         parent_node: un,
                         parent_edge: se.edge,
                     };
@@ -941,24 +926,18 @@ impl CsrGraph {
 
         // Harvest: one sequential pass over the packed records (which sit
         // in L2 after the search); every output element is written
-        // exactly once (settled value or unreachable sentinel), and the
-        // base-metric distance is the high half of the padded dist —
-        // 44-bit pads cannot carry into it. When the search settled every
-        // node (a connected graph under no mask — the provisioning
-        // steady state), the stamp lane is not consulted at all: the
-        // harvest is a straight branch-free record copy-out.
+        // exactly once (settled value or unreachable sentinel). When the
+        // search settled every node (a connected graph under no mask —
+        // the provisioning steady state), the stamp lane is not consulted
+        // at all: the harvest is a straight branch-free record copy-out.
         let n = self.n;
         let settled_run = *heap_pops - pops_before;
         let mut out_dist = Vec::with_capacity(n);
-        let mut out_base = Vec::with_capacity(n);
-        let mut out_hops = Vec::with_capacity(n);
         let mut out_pe = Vec::with_capacity(n);
         let mut out_pn = Vec::with_capacity(n);
         if settled_run == n as u64 {
             for rec in &recs[..n] {
                 out_dist.push(rec.dist);
-                out_base.push((rec.dist >> 64) as u64);
-                out_hops.push(rec.hops);
                 out_pe.push(rec.parent_edge);
                 out_pn.push(rec.parent_node);
             }
@@ -966,20 +945,16 @@ impl CsrGraph {
             for (rec, &sv) in recs[..n].iter().zip(&stamp[..n]) {
                 if sv == ep_done {
                     out_dist.push(rec.dist);
-                    out_base.push((rec.dist >> 64) as u64);
-                    out_hops.push(rec.hops);
                     out_pe.push(rec.parent_edge);
                     out_pn.push(rec.parent_node);
                 } else {
                     out_dist.push(u128::MAX);
-                    out_base.push(u64::MAX);
-                    out_hops.push(u32::MAX);
                     out_pe.push(NO_EDGE);
                     out_pn.push(NO_NODE);
                 }
             }
         }
-        ShortestPathTree::from_arrays(source, out_dist, out_base, out_hops, out_pe, out_pn)
+        ShortestPathTree::from_arrays(source, out_dist, out_pe, out_pn)
     }
 }
 

@@ -15,7 +15,7 @@
 //! 3. **Seeds** — each live region node enters at its best live neighbor
 //!    outside the region, whose distance is final.
 //! 4. **Settle** — Dijkstra restricted to the region, over the packed
-//!    half-edges (perturbed and base weights precomputed) with one
+//!    half-edges (perturbed weights precomputed) with one
 //!    [`FailureMask`] bit test per half-edge, the packed [`heap_key`] and
 //!    the settled-stamp discipline of the full-tree kernel. A settled
 //!    node's edges are relaxed before the loop checks for the target, so
@@ -128,7 +128,7 @@ impl ResumeKey {
     }
 }
 
-/// Working memory of the repair kernel, one per thread: a 48-byte
+/// Working memory of the repair kernel, one per thread: a 32-byte
 /// record per node, the heap, the children index (`first_kid[p]` heads
 /// `p`'s children, `next_kid[v]` links `v` to its next sibling), the
 /// region list, and the key of the run a later call may resume.
@@ -273,8 +273,6 @@ impl CsrGraph {
                     tree.settle(
                         NodeId::new(vi),
                         r.dist,
-                        r.base,
-                        r.hops,
                         Some((
                             NodeId::new(r.parent_node as usize),
                             EdgeId::new(r.parent_edge as usize),
@@ -458,9 +456,7 @@ impl CsrGraph {
                 if recs[ai].stamp == ep || nd < recs[ai].dist {
                     recs[ai] = NodeRec {
                         dist: nd,
-                        base: base.base_dist[b] + he.base,
                         stamp: ep_seen,
-                        hops: base.hops[b] + 1,
                         parent_node: he.target,
                         parent_edge: he.edge,
                     };
@@ -495,7 +491,7 @@ impl CsrGraph {
             }
             recs[u].stamp = ep_done;
             settled += 1;
-            let (d, ub, uh) = (recs[u].dist, recs[u].base, recs[u].hops);
+            let d = recs[u].dist;
             debug_assert!(d >= base.dist[u], "a deletion shortened a path");
             for he in self.half_edges(u) {
                 let vt = he.target;
@@ -507,9 +503,7 @@ impl CsrGraph {
                 if rec.stamp == ep || nd < rec.dist {
                     *rec = NodeRec {
                         dist: nd,
-                        base: ub + he.base,
                         stamp: ep_seen,
-                        hops: uh + 1,
                         // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
                         parent_node: u as u32,
                         parent_edge: he.edge,

@@ -44,8 +44,6 @@ pub fn shortest_path_tree<T: Topology>(
     // dist/parent working arrays; tree is finalized on settle.
     let mut dist = vec![u128::MAX; n];
     let mut settled = vec![false; n];
-    let mut base = vec![0u64; n];
-    let mut hops = vec![0u32; n];
     let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
 
     let mut heap: BinaryHeap<(Reverse<u128>, u32)> = BinaryHeap::new();
@@ -58,13 +56,7 @@ pub fn shortest_path_tree<T: Topology>(
             continue;
         }
         settled[ui as usize] = true;
-        tree.settle(
-            u,
-            d,
-            base[ui as usize],
-            hops[ui as usize],
-            parent[ui as usize],
-        );
+        tree.settle(u, d, parent[ui as usize]);
 
         for h in topo.live_neighbors(u) {
             let vi = h.to.index();
@@ -74,8 +66,6 @@ pub fn shortest_path_tree<T: Topology>(
             let nd = d + model.perturbed_weight(graph, h.edge);
             if nd < dist[vi] {
                 dist[vi] = nd;
-                base[vi] = base[ui as usize] + model.base_weight(graph, h.edge);
-                hops[vi] = hops[ui as usize] + 1;
                 parent[vi] = Some((u, h.edge));
                 heap.push((Reverse(nd), vi as u32));
             }

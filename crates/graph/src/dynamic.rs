@@ -251,13 +251,7 @@ pub fn repair_after_failures_with<T: Topology>(
             }
             let nd = tree.dist[bi] + model.perturbed_weight(graph, h.edge);
             if nd < tree.dist[ai as usize] {
-                tree.settle(
-                    a,
-                    nd,
-                    tree.base_dist[bi] + model.base_weight(graph, h.edge),
-                    tree.hops[bi] + 1,
-                    Some((h.to, h.edge)),
-                );
+                tree.settle(a, nd, Some((h.to, h.edge)));
             }
         }
         if tree.dist[ai as usize] != u128::MAX {
@@ -280,13 +274,7 @@ pub fn repair_after_failures_with<T: Topology>(
             }
             let nd = d + model.perturbed_weight(graph, h.edge);
             if nd < tree.dist[vi] {
-                tree.settle(
-                    h.to,
-                    nd,
-                    tree.base_dist[uidx] + model.base_weight(graph, h.edge),
-                    tree.hops[uidx] + 1,
-                    Some((u, h.edge)),
-                );
+                tree.settle(h.to, nd, Some((u, h.edge)));
                 scratch.heap.push((Reverse(nd), vi as u32));
             }
         }
@@ -363,13 +351,7 @@ pub fn repair_after_recoveries_with<T: Topology>(
             }
             let nd = tree.dist[ai] + w;
             if nd < tree.dist[bi] {
-                tree.settle(
-                    b,
-                    nd,
-                    tree.base_dist[ai] + model.base_weight(graph, e),
-                    tree.hops[ai] + 1,
-                    Some((a, e)),
-                );
+                tree.settle(b, nd, Some((a, e)));
                 scratch.heap.push((Reverse(nd), bi as u32));
             }
         }
@@ -391,13 +373,7 @@ pub fn repair_after_recoveries_with<T: Topology>(
             let vi = h.to.index();
             let nd = d + model.perturbed_weight(graph, h.edge);
             if nd < tree.dist[vi] {
-                tree.settle(
-                    h.to,
-                    nd,
-                    tree.base_dist[uidx] + model.base_weight(graph, h.edge),
-                    tree.hops[uidx] + 1,
-                    Some((u, h.edge)),
-                );
+                tree.settle(h.to, nd, Some((u, h.edge)));
                 scratch.heap.push((Reverse(nd), vi as u32));
             }
         }

@@ -89,7 +89,7 @@ pub use ids::{EdgeId, NodeId};
 pub use par::{par_all_sources, par_all_sources_csr, ParStats, PAR_SERIAL_CUTOFF};
 pub use path::Path;
 pub use rng::{DetRng, SampleRange};
-pub use spt::{FlatChildren, ShortestPathTree};
+pub use spt::{FlatChildren, ShortestPathTree, TREE_BYTES_PER_NODE};
 pub use subgraph::{extract_subgraph, Subgraph};
 pub use unionfind::UnionFind;
 pub use view::{FailureSet, FailureView, Topology};

@@ -1,18 +1,27 @@
 //! Shortest-path trees.
 
-use crate::{EdgeId, Graph, NodeId, Path, PathCost};
+use crate::{EdgeId, Graph, NodeId, Path};
 
 pub(crate) const NO_EDGE: u32 = u32::MAX;
 pub(crate) const NO_NODE: u32 = u32::MAX;
 
+/// Bytes a [`ShortestPathTree`] holds per node: `dist` (u128) plus
+/// `parent_edge` and `parent_node` (u32 each). Every tree-memory figure
+/// ([`ShortestPathTree::approx_bytes`], a store's resident bytes and
+/// budget) is this times the node count.
+pub const TREE_BYTES_PER_NODE: usize = 16 + 4 + 4;
+
 /// A single-source shortest-path tree over some topology, produced by
 /// [`shortest_path_tree`](crate::shortest_path_tree).
 ///
-/// Stores, per node: the perturbed distance (unique tie-breaking), the
-/// original-metric distance, the hop count, and the tree parent. Because
-/// perturbed costs make shortest paths unique (see
-/// [`CostModel`](crate::CostModel)), tree paths are canonical: *the* base
-/// path of the RBPC scheme from this source to every node.
+/// Stores, per node, only the perturbed distance (unique tie-breaking)
+/// and the tree parent ([`TREE_BYTES_PER_NODE`] bytes). The
+/// original-metric distance is the high 64 bits of the perturbed one
+/// (44-bit pads cannot carry across bit 64 on any supported path, see
+/// [`CostModel`](crate::CostModel)), and the hop count is the length of
+/// [`path_to`](Self::path_to). Because perturbed costs make shortest
+/// paths unique, tree paths are canonical: *the* base path of the RBPC
+/// scheme from this source to every node.
 ///
 /// ```
 /// use rbpc_graph::{CostModel, Graph, Metric, shortest_path_tree};
@@ -31,8 +40,6 @@ pub(crate) const NO_NODE: u32 = u32::MAX;
 pub struct ShortestPathTree {
     source: NodeId,
     pub(crate) dist: Vec<u128>,
-    pub(crate) base_dist: Vec<u64>,
-    pub(crate) hops: Vec<u32>,
     pub(crate) parent_edge: Vec<u32>,
     pub(crate) parent_node: Vec<u32>,
 }
@@ -43,8 +50,6 @@ impl ShortestPathTree {
         ShortestPathTree {
             source,
             dist: vec![u128::MAX; n],
-            base_dist: vec![u64::MAX; n],
-            hops: vec![u32::MAX; n],
             parent_edge: vec![NO_EDGE; n],
             parent_node: vec![NO_NODE; n],
         }
@@ -56,16 +61,12 @@ impl ShortestPathTree {
     pub(crate) fn from_arrays(
         source: NodeId,
         dist: Vec<u128>,
-        base_dist: Vec<u64>,
-        hops: Vec<u32>,
         parent_edge: Vec<u32>,
         parent_node: Vec<u32>,
     ) -> Self {
         let tree = ShortestPathTree {
             source,
             dist,
-            base_dist,
-            hops,
             parent_edge,
             parent_node,
         };
@@ -73,18 +74,9 @@ impl ShortestPathTree {
         tree
     }
 
-    pub(crate) fn settle(
-        &mut self,
-        v: NodeId,
-        dist: u128,
-        base: u64,
-        hops: u32,
-        parent: Option<(NodeId, EdgeId)>,
-    ) {
+    pub(crate) fn settle(&mut self, v: NodeId, dist: u128, parent: Option<(NodeId, EdgeId)>) {
         let i = v.index();
         self.dist[i] = dist;
-        self.base_dist[i] = base;
-        self.hops[i] = hops;
         match parent {
             Some((pn, pe)) => {
                 self.parent_node[i] = pn.index() as u32;
@@ -102,8 +94,6 @@ impl ShortestPathTree {
     /// subtree before re-attaching it).
     pub(crate) fn clear_node(&mut self, i: usize) {
         self.dist[i] = u128::MAX;
-        self.base_dist[i] = u64::MAX;
-        self.hops[i] = u32::MAX;
         self.parent_edge[i] = NO_EDGE;
         self.parent_node[i] = NO_NODE;
     }
@@ -135,31 +125,12 @@ impl ShortestPathTree {
         }
     }
 
-    /// Original-metric distance to `v`, or `None` if unreachable.
+    /// Original-metric distance to `v`, or `None` if unreachable: the
+    /// high 64 bits of the perturbed distance, which the padding never
+    /// carries into.
     #[inline]
     pub fn base_dist(&self, v: NodeId) -> Option<u64> {
-        match self.base_dist[v.index()] {
-            u64::MAX => None,
-            d => Some(d),
-        }
-    }
-
-    /// Hop count of the tree path to `v`, or `None` if unreachable.
-    #[inline]
-    pub fn hops(&self, v: NodeId) -> Option<u32> {
-        match self.hops[v.index()] {
-            u32::MAX => None,
-            h => Some(h),
-        }
-    }
-
-    /// Full [`PathCost`] of the tree path to `v`, or `None` if unreachable.
-    pub fn cost_to(&self, v: NodeId) -> Option<PathCost> {
-        Some(PathCost {
-            base: self.base_dist(v)?,
-            perturbed: self.perturbed_dist(v)?,
-            hops: self.hops(v)?,
-        })
+        self.perturbed_dist(v).map(|d| (d >> 64) as u64)
     }
 
     /// The tree edge entering `v`, or `None` for the source / unreachable
@@ -295,10 +266,10 @@ impl ShortestPathTree {
     }
 
     /// Structural self-check: array lengths agree, the reachable/sentinel
-    /// state of every node is all-or-nothing across the five arrays, the
+    /// state of every node is all-or-nothing across the three arrays, the
     /// source is the unique root, and every parent link is consistent
-    /// (hops grow by exactly one, perturbed distance strictly increases —
-    /// which also proves the parent relation is acyclic).
+    /// (perturbed distance strictly increases from parent to child, which
+    /// also proves the parent relation is acyclic).
     ///
     /// Graph-free (no weights available here): edge-level consistency and
     /// the uniqueness-under-perturbation property are checked by
@@ -311,8 +282,6 @@ impl ShortestPathTree {
     pub fn validate_structure(&self) -> Result<(), String> {
         let n = self.dist.len();
         for (name, len) in [
-            ("base_dist", self.base_dist.len()),
-            ("hops", self.hops.len()),
             ("parent_edge", self.parent_edge.len()),
             ("parent_node", self.parent_node.len()),
         ] {
@@ -334,26 +303,18 @@ impl ShortestPathTree {
                 ));
             }
         } else if self.dist[si] != 0
-            || self.base_dist[si] != 0
-            || self.hops[si] != 0
             || self.parent_edge[si] != NO_EDGE
             || self.parent_node[si] != NO_NODE
         {
             return Err(format!(
-                "source {} must have zero distances and no parent",
+                "source {} must have zero distance and no parent",
                 self.source
             ));
         }
         for v in 0..n {
-            let reached = self.dist[v] != u128::MAX;
-            let sentinels = [
-                self.base_dist[v] == u64::MAX,
-                self.hops[v] == u32::MAX,
-                self.parent_edge[v] == NO_EDGE && self.parent_node[v] == NO_NODE,
-            ];
-            if !reached {
-                if sentinels.iter().any(|&s| !s) {
-                    return Err(format!("unreachable node {v} has non-sentinel fields"));
+            if self.dist[v] == u128::MAX {
+                if self.parent_edge[v] != NO_EDGE || self.parent_node[v] != NO_NODE {
+                    return Err(format!("unreachable node {v} has a parent"));
                 }
                 continue;
             }
@@ -371,20 +332,9 @@ impl ShortestPathTree {
             if self.dist[p] == u128::MAX {
                 return Err(format!("node {v}'s parent {p} is unreachable"));
             }
-            if self.hops[v] != self.hops[p].wrapping_add(1) {
-                return Err(format!(
-                    "node {v} has {} hops but parent {p} has {}",
-                    self.hops[v], self.hops[p]
-                ));
-            }
             if self.dist[v] <= self.dist[p] {
                 return Err(format!(
                     "node {v}'s perturbed distance does not exceed its parent {p}'s"
-                ));
-            }
-            if self.base_dist[v] < self.base_dist[p] {
-                return Err(format!(
-                    "node {v}'s base distance is below its parent {p}'s"
                 ));
             }
         }
@@ -393,7 +343,7 @@ impl ShortestPathTree {
 
     /// Memory-relevant size in bytes (for cache budgeting).
     pub fn approx_bytes(&self) -> usize {
-        self.dist.len() * (16 + 8 + 4 + 4 + 4)
+        self.dist.len() * TREE_BYTES_PER_NODE
     }
 
     /// Reference to the raw graph this tree indexes into is not stored;
@@ -480,7 +430,6 @@ mod tests {
         assert_eq!(t.base_dist(1.into()), Some(1));
         assert_eq!(t.base_dist(2.into()), Some(3));
         assert_eq!(t.base_dist(3.into()), Some(6));
-        assert_eq!(t.hops(3.into()), Some(3));
         assert_eq!(t.source(), 0.into());
         assert_eq!(t.node_count(), 4);
     }
@@ -493,9 +442,7 @@ mod tests {
         assert!(!t.reachable(iso));
         assert_eq!(t.base_dist(iso), None);
         assert_eq!(t.perturbed_dist(iso), None);
-        assert_eq!(t.hops(iso), None);
         assert_eq!(t.path_to(iso), None);
-        assert_eq!(t.cost_to(iso), None);
     }
 
     #[test]
@@ -563,13 +510,16 @@ mod tests {
     }
 
     #[test]
-    fn cost_to_combines_fields() {
+    fn tree_distances_match_the_path_cost() {
         let g = line(3);
         let t = spt(&g, 0);
-        let c = t.cost_to(2.into()).unwrap();
-        assert_eq!(c.base, 3);
+        let c = t
+            .path_to(2.into())
+            .unwrap()
+            .cost(&g, &CostModel::new(Metric::Weighted, 11));
+        assert_eq!(t.base_dist(2.into()), Some(c.base));
+        assert_eq!(t.perturbed_dist(2.into()), Some(c.perturbed));
         assert_eq!(c.hops, 2);
-        assert_eq!(Some(c.perturbed), t.perturbed_dist(2.into()));
     }
 
     #[test]
@@ -578,6 +528,6 @@ mod tests {
         let t = spt(&g, 0);
         assert!(t.compatible_with(&g));
         assert!(!t.compatible_with(&line(4)));
-        assert!(t.approx_bytes() >= 3 * 32);
+        assert_eq!(t.approx_bytes(), 3 * TREE_BYTES_PER_NODE);
     }
 }

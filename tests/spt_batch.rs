@@ -2,14 +2,17 @@
 //! on every suite topology family, [`CsrGraph::full_tree_batch`] must be
 //! **bit-identical** to the scalar per-source loop
 //! ([`CsrGraph::full_tree_masked`]) — same perturbed distances, same
-//! parents, same hop counts — across failure masks (none, edges, edges +
-//! a node), batch sizes {1, 7, 64}, *one reused scratch across all of
-//! them*, and thread counts {1, 2, 8} through
+//! parents — across failure masks (none, edges, edges + a node), batch
+//! sizes {1, 7, 64}, *one reused scratch across all of them*, and thread
+//! counts {1, 2, 8} through
 //! [`par_all_sources_csr`] (whose workers run the batch kernel). A
 //! large-weight family pins the indexed 4-ary heap discipline, which the
 //! unit- and small-weight eval topologies never reach; the kernel's
 //! frontier accounting invariants (pops ≡ settles, pushes ≡ settles for
-//! a connected healthy batch) are asserted on the way.
+//! a connected healthy batch) are asserted on the way. Both kernels'
+//! trees derive the base distance from the perturbed one, so it is
+//! checked independently: for every reached node it must equal the
+//! base cost summed edge by edge along the node's tree path.
 //!
 //! `scripts/check.sh` runs this suite in release mode, where
 //! `debug_assert!` compiles out — the assertions here are the ones that
@@ -92,6 +95,15 @@ fn assert_batch_matches_scalar(name: &str, graph: &Graph, metric: Metric, seed: 
                     Ok(()),
                     "{name}: tree invariants at source {s:?} (mask {mi}, seed {seed})"
                 );
+                for v in (0..n).map(NodeId::new).filter(|&v| tree.reachable(v)) {
+                    let path = tree.path_to(v).expect("a reached node has a tree path");
+                    assert_eq!(
+                        tree.base_dist(v),
+                        Some(path.cost(graph, &model).base),
+                        "{name}: base distance of {v:?} from {s:?} is not its path's \
+                         edge-by-edge base cost (mask {mi}, seed {seed})"
+                    );
+                }
             }
             assert_eq!(
                 batch.heap_pops() - pops_before,
