@@ -9,7 +9,7 @@
 
 use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, Restorer, ShardedBasePaths};
 use rbpc_graph::{CostModel, FailureSet, Metric, NodeId};
-use rbpc_obs::Registry;
+use rbpc_obs::{Registry, Snapshot};
 use rbpc_topo::gnm_connected;
 use std::sync::Mutex;
 
@@ -68,6 +68,67 @@ fn restore_under_one_failed_link_emits_expected_counters() {
     // The span recorded one latency sample.
     let (lat_count2, _) = histogram("core.restore.ns");
     assert_eq!(lat_count2, lat_count + 1);
+}
+
+/// `name=delta` for every counter and `name#samples` for every histogram
+/// that moved between two snapshots.
+fn moved(before: &Snapshot, after: &Snapshot) -> Vec<String> {
+    let counters = after.counters.iter().filter_map(|(name, v)| {
+        let delta = v - before.counter(name).unwrap_or(0);
+        (delta > 0).then(|| format!("{name}={delta}"))
+    });
+    let histograms = after.histograms.iter().filter_map(|(name, s)| {
+        let delta = s.count - before.histogram(name).map_or(0, |b| b.count);
+        (delta > 0).then(|| format!("{name}#{delta}"))
+    });
+    counters.chain(histograms).collect()
+}
+
+#[test]
+fn affected_restore_records_the_pinned_metric_names_and_counts() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gnm_connected(12, 26, 5, 3);
+    let before = Registry::global_snapshot();
+    let oracle = DenseBasePaths::build(g, CostModel::new(Metric::Weighted, 7));
+    // Provisioning counts depend on the worker count; their names do not.
+    let built: Vec<String> = moved(&before, &Registry::global_snapshot())
+        .into_iter()
+        .map(|m| m.split(['=', '#']).next().unwrap_or_default().to_string())
+        .collect();
+    assert_eq!(
+        built,
+        [
+            "core.provision.chunk_claims",
+            "core.provision.decrease_keys",
+            "core.provision.heap_pops",
+            "core.provision.heap_pushes",
+            "core.provision.scratch_reuses",
+            "core.provision.build.ns",
+            "core.provision.settled_per_thread",
+            "core.store.shard_build.ns",
+        ]
+    );
+    let restorer = Restorer::new(&oracle);
+    let (s, t) = (NodeId::new(0), NodeId::new(11));
+    let base = oracle.base_path(s, t).expect("connected");
+    let failures = FailureSet::of_edge(base.edges()[0]);
+    let before = Registry::global_snapshot();
+    restorer.restore(s, t, &failures).expect("restorable");
+    assert_eq!(
+        moved(&before, &Registry::global_snapshot()),
+        [
+            "core.decompose.calls=1",
+            "core.restore.affected=1",
+            "core.restore.calls=1",
+            "core.restore.ok=1",
+            "core.decompose.segments#1",
+            "core.restore.ns#1",
+            "core.restore.segments#1",
+            "spt.repair.nodes_touched#1",
+            "spt.repair.ns#1",
+            "spt.repair.settled#1",
+        ]
+    );
 }
 
 #[test]

@@ -61,13 +61,20 @@ pub enum TopoSpec {
     },
 }
 
+/// Most links a replayed G(n,m) header may ask for: the generator
+/// allocates them all up front, so a hostile header must not name more
+/// than the process can hold. Every map this workspace generates has far
+/// fewer.
+const MAX_GNM_EDGES: usize = 1 << 22;
+
 impl TopoSpec {
     /// Rebuilds the topology: `(name, graph)`.
     ///
     /// # Errors
     ///
     /// G(n,m) parameters outside `1 ≤ nodes ≤ CostModel::MAX_NODES`,
-    /// `nodes − 1 ≤ edges` (and no edge on one node) or `max_weight ≥ 1`,
+    /// `nodes − 1 ≤ edges ≤ min(nodes·(nodes − 1)/2, MAX_GNM_EDGES)` or
+    /// `max_weight ≥ 1`,
     /// unreadable/unparsable edge-list files, or a suite case index out
     /// of range.
     pub fn build(&self) -> Result<(String, Graph), String> {
@@ -82,8 +89,14 @@ impl TopoSpec {
                     let max = CostModel::MAX_NODES;
                     return Err(format!("topo: `nodes` must be in 1..={max}, got {n}"));
                 }
-                if m < n - 1 || (n == 1 && m > 0) {
+                if m < n - 1 {
                     return Err(format!("topo: {m} `edges` cannot connect {n} nodes"));
+                }
+                let most = (n.saturating_mul(n - 1) / 2).min(MAX_GNM_EDGES);
+                if m > most {
+                    return Err(format!(
+                        "topo: {m} `edges` exceed the {most} allowed on {n} nodes"
+                    ));
                 }
                 if max_weight == 0 {
                     return Err("topo: `max_weight` must be at least 1".to_string());
@@ -540,6 +553,21 @@ mod tests {
         assert!(build_gnm("60", "5", "10").unwrap_err().contains("`edges`"));
         // No edge fits on one node: the generator would search forever.
         assert!(build_gnm("1", "3", "10").unwrap_err().contains("`edges`"));
+    }
+
+    #[test]
+    fn gnm_header_rejects_too_many_edges() {
+        // 10^15 links would be allocated up front; refuse before that.
+        let err = build_gnm("30", "1000000000000000", "10").unwrap_err();
+        assert!(err.contains("`edges` exceed"), "{err}");
+        // A simple graph on 30 nodes holds at most 435 links.
+        assert!(build_gnm("30", "435", "10").is_ok());
+        assert!(build_gnm("30", "436", "10")
+            .unwrap_err()
+            .contains("`edges`"));
+        // Past the fixed cap even when the node count would allow more.
+        let err = build_gnm("5000", &(MAX_GNM_EDGES + 1).to_string(), "10").unwrap_err();
+        assert!(err.contains("`edges` exceed"), "{err}");
     }
 
     #[test]

@@ -15,10 +15,14 @@ pub(crate) const BUCKETS: usize = 65;
 /// Quantiles are reported as the upper bound of the containing bucket, so
 /// a reported quantile is within 2x of (and never below) the true sample
 /// quantile.
+///
+/// Recording a sample costs two atomic read-modify-writes (its bucket and
+/// the sum) plus a load of the max, which is written only when the sample
+/// raises it. The count is not stored: it is the saturating sum of the
+/// buckets, computed when read.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -87,6 +91,21 @@ pub(crate) fn quantile_over(buckets: &[u64; BUCKETS], count: u64, max: u64, q: f
     max
 }
 
+/// Saturating sum of bucket counts: the number of samples, sticking at
+/// `u64::MAX` like every other histogram total.
+fn total(buckets: &[u64; BUCKETS]) -> u64 {
+    buckets.iter().fold(0, |acc, &b| acc.saturating_add(b))
+}
+
+/// `sum / count`, or 0.0 for no samples.
+fn mean_of(sum: u64, count: u64) -> f64 {
+    if count == 0 {
+        0.0
+    } else {
+        sum as f64 / count as f64
+    }
+}
+
 /// Saturating atomic add: the cell sticks at `u64::MAX` instead of
 /// wrapping, so long-lived counters degrade to "at least this many"
 /// rather than to nonsense.
@@ -107,7 +126,6 @@ impl Histogram {
     pub const fn new() -> Self {
         Histogram {
             buckets: [const { AtomicU64::new(0) }; BUCKETS],
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -129,15 +147,27 @@ impl Histogram {
             return;
         }
         saturating_fetch_add(&self.buckets[bucket_index(v)], n);
-        saturating_fetch_add(&self.count, n);
         saturating_fetch_add(&self.sum, v.saturating_mul(n));
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // The max only grows between resets, so a sample at or below the
+        // one already seen cannot change it and skips the write.
+        // lint:allow(atomics-order) — a stale read only costs a redundant fetch_max; the max publishes no other data
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
-    /// Number of recorded samples.
-    #[inline]
+    /// The buckets, loaded one by one.
+    fn frozen(&self) -> [u64; BUCKETS] {
+        let mut frozen = [0u64; BUCKETS];
+        for (slot, bucket) in frozen.iter_mut().zip(self.buckets.iter()) {
+            *slot = bucket.load(Ordering::Relaxed);
+        }
+        frozen
+    }
+
+    /// Number of recorded samples (saturating at `u64::MAX`).
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        total(&self.frozen())
     }
 
     /// Sum of recorded samples (saturating at `u64::MAX`).
@@ -154,12 +184,7 @@ impl Histogram {
 
     /// Mean sample, or 0.0 if empty.
     pub fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
+        mean_of(self.sum(), self.count())
     }
 
     /// The `q`-quantile (`q` in `[0, 1]`), reported as the inclusive
@@ -169,23 +194,23 @@ impl Histogram {
     /// `quantile(1.0)` is the true maximum and a single-sample histogram
     /// answers every quantile exactly.
     pub fn quantile(&self, q: f64) -> u64 {
-        let mut frozen = [0u64; BUCKETS];
-        for (slot, bucket) in frozen.iter_mut().zip(self.buckets.iter()) {
-            *slot = bucket.load(Ordering::Relaxed);
-        }
-        quantile_over(&frozen, self.count(), self.max(), q)
+        let frozen = self.frozen();
+        quantile_over(&frozen, total(&frozen), self.max(), q)
     }
 
     /// Freezes a [`HistogramSummary`] (count, mean, p50/p95/p99, max).
     pub fn summary(&self) -> HistogramSummary {
+        let frozen = self.frozen();
+        let count = total(&frozen);
+        let (sum, max) = (self.sum(), self.max());
         HistogramSummary {
-            count: self.count(),
-            sum: self.sum(),
-            mean: self.mean(),
-            p50: self.quantile(0.50),
-            p95: self.quantile(0.95),
-            p99: self.quantile(0.99),
-            max: self.max(),
+            count,
+            sum,
+            mean: mean_of(sum, count),
+            p50: quantile_over(&frozen, count, max, 0.50),
+            p95: quantile_over(&frozen, count, max, 0.95),
+            p99: quantile_over(&frozen, count, max, 0.99),
+            max,
         }
     }
 
@@ -194,7 +219,6 @@ impl Histogram {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
     }

@@ -14,12 +14,13 @@
 //!   event counter;
 //! * [`Histogram`] — a log-bucketed latency/size histogram with lock-free
 //!   recording and p50/p95/p99/max [`summary`](Histogram::summary);
-//! * [`Span`] — an RAII timer that records its elapsed nanoseconds into a
-//!   global histogram on drop (including drops during unwinding), with
-//!   per-thread nesting depth;
+//! * [`Span`] — an RAII timer that records its elapsed nanoseconds into
+//!   the histogram it was opened with on drop (including drops during
+//!   unwinding), with per-thread nesting depth;
 //! * [`Registry`] — a labeled metric-family store; the process-global one
 //!   is [`Registry::global`], and [`Registry::global_snapshot`] freezes
-//!   everything into a [`Snapshot`] for rendering or export;
+//!   everything into a [`Snapshot`] for rendering or export. Entries are
+//!   never removed, which is what lets call sites cache their handles;
 //! * [`JsonlSink`] + [`obs_event!`] — structured events
 //!   (`restore_start`, `restore_done`, `fec_rewrite`, `ilm_splice`,
 //!   `decompose_fallback`, …) streamed as one JSON object per line;
@@ -49,6 +50,13 @@
 //! instrumented crate declares its own default-on `obs` feature; building
 //! with `--no-default-features` compiles every instrumentation point to a
 //! no-op with zero runtime cost.
+//!
+//! With the feature on, an unlabeled [`obs_count!`], [`obs_record!`] or
+//! [`obs_span!`] call site resolves its metric from the global registry
+//! on first use and caches the handle in a call-site `static`. Every
+//! later record is that handle plus its atomics: no lock, no map search,
+//! no reference-count traffic. The names of these forms are therefore
+//! string literals. The labeled forms look their member up on each call.
 //!
 //! ```
 //! use rbpc_obs::{obs_count, obs_span, Registry};
@@ -102,6 +110,18 @@ pub use trace::{
     TraceId, TraceSpan,
 };
 
+/// The call site's cached handle to the global metric `$name`: resolved
+/// through `Registry::global().$kind($name)` on first use, then read from
+/// a `static` in this expansion. Used by the unlabeled `obs_*!` forms.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_site {
+    ($kind:ident, $ty:ty, $name:literal) => {{
+        static SITE: ::std::sync::OnceLock<::std::sync::Arc<$ty>> = ::std::sync::OnceLock::new();
+        &**SITE.get_or_init(|| $crate::Registry::global().$kind($name))
+    }};
+}
+
 /// Increments a counter in the global [`Registry`].
 ///
 /// * `obs_count!("name")` — add 1;
@@ -109,10 +129,21 @@ pub use trace::{
 /// * `obs_count!("name", label: l, n)` — add `n` to the `l`-labeled
 ///   member of the `name` family.
 ///
+/// An unlabeled call site resolves its [`Counter`] once and keeps the
+/// handle in a call-site `static`, so recording is one atomic add. Its
+/// name must therefore be a string literal: a dynamic name would feed
+/// every later name into the first one's counter. A labeled call looks
+/// its member up in the registry on every call.
+///
+/// ```compile_fail
+/// let name = "built.at.runtime";
+/// rbpc_obs::obs_count!(name);
+/// ```
+///
 /// Compiles to a no-op when the calling crate's `obs` feature is off.
 #[macro_export]
 macro_rules! obs_count {
-    ($name:expr) => {
+    ($name:literal) => {
         $crate::obs_count!($name, 1u64)
     };
     ($name:expr, label: $label:expr, $n:expr) => {{
@@ -125,9 +156,9 @@ macro_rules! obs_count {
             let _ = (&$name, &$label, &$n);
         }
     }};
-    ($name:expr, $n:expr) => {{
+    ($name:literal, $n:expr) => {{
         #[cfg(feature = "obs")]
-        $crate::Registry::global().counter($name).add($n as u64);
+        $crate::__obs_site!(counter, $crate::Counter, $name).add($n as u64);
         #[cfg(not(feature = "obs"))]
         {
             let _ = (&$name, &$n);
@@ -140,6 +171,10 @@ macro_rules! obs_count {
 /// * `obs_record!("name", v)` — record `v`;
 /// * `obs_record!("name", label: l, v)` — record into the `l`-labeled
 ///   member of the `name` family.
+///
+/// As with [`obs_count!`], an unlabeled call site caches its
+/// [`Histogram`] in a call-site `static` and its name must be a string
+/// literal.
 ///
 /// Compiles to a no-op when the calling crate's `obs` feature is off.
 #[macro_export]
@@ -154,11 +189,9 @@ macro_rules! obs_record {
             let _ = (&$name, &$label, &$v);
         }
     }};
-    ($name:expr, $v:expr) => {{
+    ($name:literal, $v:expr) => {{
         #[cfg(feature = "obs")]
-        $crate::Registry::global()
-            .histogram($name)
-            .record($v as u64);
+        $crate::__obs_site!(histogram, $crate::Histogram, $name).record($v as u64);
         #[cfg(not(feature = "obs"))]
         {
             let _ = (&$name, &$v);
@@ -170,13 +203,18 @@ macro_rules! obs_record {
 ///
 /// Evaluates to an `Option<Span>`; when the span drops (normally or
 /// during unwinding) its elapsed nanoseconds are recorded into the global
-/// histogram of the same name. Evaluates to `None` — with no timer
-/// started — when the calling crate's `obs` feature is off.
+/// histogram of the same name. The call site resolves that histogram once
+/// and keeps it in a `static`, so the name must be a string literal.
+/// Evaluates to `None` — with no timer started — when the calling crate's
+/// `obs` feature is off.
 #[macro_export]
 macro_rules! obs_span {
-    ($name:expr) => {{
+    ($name:literal) => {{
         #[cfg(feature = "obs")]
-        let __obs_span = Some($crate::Span::enter($name));
+        let __obs_span = Some($crate::Span::enter(
+            $name,
+            $crate::__obs_site!(histogram, $crate::Histogram, $name),
+        ));
         #[cfg(not(feature = "obs"))]
         let __obs_span: Option<$crate::Span> = {
             let _ = &$name;

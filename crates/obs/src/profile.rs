@@ -280,7 +280,6 @@ impl ProfileReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Span;
 
     /// Serializes the tests that start a profiler: the profiling flag is
     /// process-global, so one test's `stop` would otherwise stop another
@@ -295,8 +294,8 @@ mod tests {
         let _one = one_profiler();
         let profiler = Profiler::start(Duration::from_micros(100));
         {
-            let _outer = Span::enter("profile.test.outer");
-            let _inner = Span::enter("profile.test.inner");
+            let _outer = crate::obs_span!("profile.test.outer");
+            let _inner = crate::obs_span!("profile.test.inner");
             // Hold the spans until a whole round has sampled them, however
             // loaded the host; the deadline only bounds a wedged sampler.
             let seen = profiler.rounds() + 2;

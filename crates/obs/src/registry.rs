@@ -11,23 +11,29 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// Metrics are created on first use and live for the registry's
 /// lifetime. A metric is addressed by name (`"core.restore.calls"`) and
 /// optionally a label (`counter_with("sim.outage", "local_edge_bypass")`),
-/// which is rendered as `name{label}`. Handles are `Arc`s, so hot call
-/// sites may cache them and bypass the registry lock entirely.
+/// which is rendered as `name{label}`. A lookup that finds its metric
+/// allocates nothing, labeled or not.
+///
+/// Entries are never removed ([`reset`](Registry::reset) zeroes them in
+/// place). Handles are `Arc`s, and the unlabeled `obs_*!` macros resolve
+/// theirs once per call site and keep it in a `static`, recording with
+/// atomics and no lock from then on. That is sound only because the
+/// entry a cached handle points at is the one every snapshot reads.
 ///
 /// Most code uses the process-global registry via the `obs_*!` macros;
 /// separate instances exist for tests.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
+    counters: Mutex<Family<Counter>>,
+    histograms: Mutex<Family<Histogram>>,
 }
 
-/// Composed map key: `name` or `name{label}`.
-fn compose(name: &str, label: Option<&str>) -> String {
-    match label {
-        None => name.to_string(),
-        Some(l) => format!("{name}{{{l}}}"),
-    }
+/// One metric kind's entries, keyed `name` or `name{label}`, plus a key
+/// buffer reused across lookups so a hit never allocates.
+#[derive(Debug, Default)]
+struct Family<M> {
+    metrics: BTreeMap<String, Arc<M>>,
+    key: String,
 }
 
 impl Registry {
@@ -63,18 +69,23 @@ impl Registry {
     }
 
     fn get_or_insert<M: Default>(
-        map: &Mutex<BTreeMap<String, Arc<M>>>,
+        family: &Mutex<Family<M>>,
         name: &str,
         label: Option<&str>,
     ) -> Arc<M> {
-        let mut map = map.lock().unwrap();
-        if label.is_none() {
-            // Fast path: query by &str, allocate only on first use.
-            if let Some(m) = map.get(name) {
-                return Arc::clone(m);
-            }
+        let mut family = family.lock().unwrap();
+        let Family { metrics, key } = &mut *family;
+        key.clear();
+        key.push_str(name);
+        if let Some(l) = label {
+            key.push('{');
+            key.push_str(l);
+            key.push('}');
         }
-        Arc::clone(map.entry(compose(name, label)).or_default())
+        if let Some(m) = metrics.get(key.as_str()) {
+            return Arc::clone(m);
+        }
+        Arc::clone(metrics.entry(key.clone()).or_default())
     }
 
     /// Freezes every metric into a [`Snapshot`], sorted by name.
@@ -84,6 +95,7 @@ impl Registry {
                 .counters
                 .lock()
                 .unwrap()
+                .metrics
                 .iter()
                 .map(|(k, c)| (k.clone(), c.get()))
                 .collect(),
@@ -91,6 +103,7 @@ impl Registry {
                 .histograms
                 .lock()
                 .unwrap()
+                .metrics
                 .iter()
                 .map(|(k, h)| (k.clone(), h.summary()))
                 .collect(),
@@ -102,13 +115,14 @@ impl Registry {
         Registry::global().snapshot()
     }
 
-    /// Zeroes every metric (entries are kept). Intended for tests and
-    /// between-suite isolation.
+    /// Zeroes every metric in place. Entries are kept, so handles cached
+    /// by call sites keep reporting. Intended for tests and between-suite
+    /// isolation.
     pub fn reset(&self) {
-        for c in self.counters.lock().unwrap().values() {
+        for c in self.counters.lock().unwrap().metrics.values() {
             c.reset();
         }
-        for h in self.histograms.lock().unwrap().values() {
+        for h in self.histograms.lock().unwrap().metrics.values() {
             h.reset();
         }
     }
@@ -232,10 +246,14 @@ mod tests {
         r.counter("a").add(3);
         r.counter("a").add(4);
         r.counter_with("a", "x").inc();
+        r.counter_with("a", "x").add(2);
+        r.counter_with("a", "y").inc();
         r.histogram("h").record(10);
         let snap = r.snapshot();
         assert_eq!(snap.counter("a"), Some(7));
-        assert_eq!(snap.counter("a{x}"), Some(1));
+        assert_eq!(snap.counter("a{x}"), Some(3));
+        assert_eq!(snap.counter("a{y}"), Some(1));
+        assert_eq!(snap.counters.len(), 3);
         assert_eq!(snap.histogram("h").unwrap().count, 1);
         assert_eq!(snap.counter("missing"), None);
     }

@@ -1,6 +1,6 @@
 //! RAII span timers.
 
-use crate::Registry;
+use crate::Histogram;
 use std::cell::Cell;
 use std::time::Instant;
 
@@ -10,10 +10,12 @@ thread_local! {
 
 /// An RAII timer over a named region of code.
 ///
-/// `Span::enter("core.restore")` starts the clock; when the span drops —
-/// at normal scope exit *or* while unwinding from a panic — the elapsed
-/// nanoseconds are recorded into the global histogram of the same name,
-/// so a crashing restore still leaves its latency on the record.
+/// `Span::enter("core.restore", histogram)` starts the clock; when the
+/// span drops — at normal scope exit *or* while unwinding from a panic —
+/// the elapsed nanoseconds are recorded into `histogram`, so a crashing
+/// restore still leaves its latency on the record. [`obs_span!`](crate::obs_span)
+/// passes the global histogram of the span's name, resolved once per call
+/// site, so entering and dropping a span takes no lock.
 ///
 /// Spans nest: [`depth`](Span::depth) reports how many spans were already
 /// open on this thread when this one was entered (0 = outermost).
@@ -24,6 +26,7 @@ thread_local! {
 #[derive(Debug)]
 pub struct Span {
     name: &'static str,
+    histogram: &'static Histogram,
     start: Instant,
     depth: usize,
     /// Whether this span pushed a profiler frame (captured at entry so a
@@ -32,8 +35,8 @@ pub struct Span {
 }
 
 impl Span {
-    /// Opens a span; the returned guard records on drop.
-    pub fn enter(name: &'static str) -> Span {
+    /// Opens a span; the returned guard records into `histogram` on drop.
+    pub fn enter(name: &'static str, histogram: &'static Histogram) -> Span {
         let depth = DEPTH.with(|d| {
             let depth = d.get();
             d.set(depth + 1);
@@ -42,13 +45,15 @@ impl Span {
         let profiled = crate::profile::push_frame(name);
         Span {
             name,
+            histogram,
             start: Instant::now(),
             depth,
             profiled,
         }
     }
 
-    /// The metric name this span records to.
+    /// The span's name: its profiler frame, and the metric name
+    /// [`obs_span!`](crate::obs_span) records to.
     pub fn name(&self) -> &'static str {
         self.name
     }
@@ -70,9 +75,7 @@ impl Drop for Span {
             crate::profile::pop_frame();
         }
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
-        Registry::global()
-            .histogram(self.name)
-            .record(self.elapsed_ns());
+        self.histogram.record(self.elapsed_ns());
     }
 }
 
@@ -82,13 +85,15 @@ mod tests {
 
     #[test]
     fn nesting_depth() {
-        let outer = Span::enter("span.test.outer");
+        static H: Histogram = Histogram::new();
+        let outer = Span::enter("span.test.outer", &H);
         assert_eq!(outer.depth(), 0);
         {
-            let inner = Span::enter("span.test.inner");
+            let inner = Span::enter("span.test.inner", &H);
             assert_eq!(inner.depth(), 1);
         }
-        let sibling = Span::enter("span.test.sibling");
+        assert_eq!(H.count(), 1);
+        let sibling = Span::enter("span.test.sibling", &H);
         assert_eq!(sibling.depth(), 1);
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the observability layer: concurrency, quantile
 //! correctness, span nesting (including unwinding), and the JSONL format.
 
-use rbpc_obs::{Counter, Event, Histogram, JsonlSink, Registry, Span, Value};
+use rbpc_obs::{obs_span, Counter, Event, Histogram, JsonlSink, Registry, Value};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
@@ -79,10 +79,10 @@ fn histogram_concurrent_recording_loses_nothing() {
 
 #[test]
 fn spans_nest_and_record_on_drop() {
-    let outer = Span::enter("obs_test.outer");
+    let outer = obs_span!("obs_test.outer").unwrap();
     assert_eq!(outer.depth(), 0);
     {
-        let inner = Span::enter("obs_test.inner");
+        let inner = obs_span!("obs_test.inner").unwrap();
         assert_eq!(inner.depth(), 1);
     }
     drop(outer);
@@ -98,7 +98,7 @@ fn span_records_even_when_unwinding() {
         .map(|s| s.count)
         .unwrap_or(0);
     let result = std::panic::catch_unwind(|| {
-        let _span = Span::enter("obs_test.panicky");
+        let _span = obs_span!("obs_test.panicky");
         panic!("boom");
     });
     assert!(result.is_err());
@@ -108,7 +108,7 @@ fn span_records_even_when_unwinding() {
         .count;
     assert_eq!(after, before + 1, "drop during unwind must still record");
     // Unwinding must also restore the nesting depth.
-    assert_eq!(Span::enter("obs_test.after_panic").depth(), 0);
+    assert_eq!(obs_span!("obs_test.after_panic").unwrap().depth(), 0);
 }
 
 /// A writer capturing everything for inspection.
