@@ -174,20 +174,6 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
                     segments = r.concatenation.len(),
                     raw_edges = r.concatenation.raw_edge_count(),
                 );
-                // Black-box record: the full failure set plus the plan
-                // fingerprint, enough for a bit-for-bit incident replay.
-                // The builder only runs when a recorder is installed.
-                obs_flight!(FlightRecord {
-                    src: s.index() as u64,
-                    dst: t.index() as u64,
-                    failed_edges: failures.failed_edges().map(|e| e.index() as u64).collect(),
-                    failed_nodes: failures.failed_nodes().map(|n| n.index() as u64).collect(),
-                    ok: true,
-                    segments: r.concatenation.len() as u64,
-                    plan_hash: r.plan_hash(),
-                    latency_ns: rbpc_obs::monotonic_ns().saturating_sub(flight_start),
-                    ..FlightRecord::new(FlightKind::Restore)
-                });
             }
             Err(e) => {
                 obs_count!("core.restore.err");
@@ -197,18 +183,26 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
                     dst = t.index(),
                     error = e.to_string(),
                 );
-                obs_flight!(FlightRecord {
-                    src: s.index() as u64,
-                    dst: t.index() as u64,
-                    failed_edges: failures.failed_edges().map(|e| e.index() as u64).collect(),
-                    failed_nodes: failures.failed_nodes().map(|n| n.index() as u64).collect(),
-                    ok: false,
-                    latency_ns: rbpc_obs::monotonic_ns().saturating_sub(flight_start),
-                    detail: e.to_string(),
-                    ..FlightRecord::new(FlightKind::Restore)
-                });
             }
         }
+        // Black-box record: the full failure set plus the plan
+        // fingerprint (or the error), enough for a bit-for-bit incident
+        // replay. The builder only runs when a recorder is installed.
+        obs_flight!(FlightRecord {
+            src: s.index() as u64,
+            dst: t.index() as u64,
+            failed_edges: failures.failed_edges().map(|e| e.index() as u64).collect(),
+            failed_nodes: failures.failed_nodes().map(|n| n.index() as u64).collect(),
+            ok: result.is_ok(),
+            segments: result.as_ref().map_or(0, |r| r.concatenation.len() as u64),
+            plan_hash: result.as_ref().map_or(0, Restoration::plan_hash),
+            latency_ns: rbpc_obs::monotonic_ns().saturating_sub(flight_start),
+            detail: result
+                .as_ref()
+                .err()
+                .map_or_else(String::new, ToString::to_string),
+            ..FlightRecord::new(FlightKind::Restore)
+        });
         result
     }
 
@@ -767,6 +761,34 @@ mod tests {
         assert!(rec.ok);
         assert_eq!(rec.segments, res.concatenation.len() as u64);
         assert_eq!(rec.plan_hash, res.plan_hash());
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn failed_restore_feeds_the_flight_recorder() {
+        use rbpc_obs::{set_flight_recorder, FlightKind, FlightRecorder};
+        use std::sync::Arc;
+
+        let g = cycle(6);
+        let o = oracle(&g);
+        let rst = Restorer::new(&o);
+
+        let ring = Arc::new(FlightRecorder::new(8));
+        let prev = set_flight_recorder(Some(Arc::clone(&ring)));
+        let res = rst.restore(0.into(), 3.into(), &FailureSet::of_nodes([3usize]));
+        set_flight_recorder(prev);
+
+        let err = res.expect_err("a failed endpoint cannot be restored");
+        let frozen = ring.freeze();
+        let rec = frozen
+            .iter()
+            .find(|r| (r.src, r.dst) == (0, 3) && r.failed_nodes == vec![3])
+            .expect("our failed restore was recorded");
+        assert_eq!(rec.kind, FlightKind::Restore);
+        assert!(!rec.ok);
+        assert_eq!(rec.detail, err.to_string());
+        assert_eq!(rec.plan_hash, 0);
+        assert_eq!(rec.segments, 0);
     }
 
     #[test]

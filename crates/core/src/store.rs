@@ -43,7 +43,7 @@
 //!
 //! Sources are grouped into fixed *shards* (contiguous index ranges),
 //! each provisioned as one batch on the [`rbpc_graph::par`] thread pool
-//! (every worker reuses one `DijkstraScratch` arena across its trees).
+//! (every worker reuses one `SptBatchScratch` across its trees).
 //! Rebuilding an evicted shard is bit-identical by construction.
 //!
 //! The [`BasePathStore`] trait exposes the residency/budget surface, so

@@ -22,7 +22,6 @@ use crate::{EdgeId, Graph};
 
 /// Distance metric used by an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Metric {
     /// Use the configured OSPF-style link weights (the paper's
     /// "ISP, Weighted" rows).

@@ -30,9 +30,9 @@
 //!   known (greedy decomposition's question on a store that does not
 //!   hold that tree), sharing [`CsrGraph::point_to_point`]'s settle loop;
 //! * [`batch`] — the batched multi-source kernel ([`SptBatchScratch`],
-//!   [`CsrGraph::full_tree_batch`]): structure-of-arrays scratch and an
-//!   indexed 4-ary decrease-key heap for provisioning sweeps, where one
-//!   scratch serves a whole batch of sources.
+//!   [`CsrGraph::full_tree_batch`]): a compacted adjacency and
+//!   decrease-key level queues or bucket ring for provisioning sweeps,
+//!   where one scratch serves a whole batch of sources.
 //!
 //! Determinism: the perturbed costs make shortest paths unique (see
 //! [`CostModel`]), so the tree produced by [`CsrGraph::full_tree`] is
@@ -426,88 +426,24 @@ impl CsrGraph {
         if mask.is_some_and(|m| m.node_failed(source)) {
             return ShortestPathTree::unreachable(source, self.n);
         }
-        // Monomorphize the hot loop per mask-ness: the unmasked copy
+        // Monomorphize the settle loop per mask-ness: the unmasked copy
         // compiles the predicate away entirely.
-        match mask {
-            Some(m) => self.tree_inner(source, scratch, |e, v| m.half_edge_masked(e, v)),
-            None => self.tree_inner(source, scratch, |_, _| false),
-        }
-    }
-
-    /// The full-tree hot loop, generic over the half-edge mask predicate.
-    ///
-    /// Runs Dijkstra entirely inside the scratch arena — one record per
-    /// node, so a relaxation touches a single cache line instead of four
-    /// parallel arrays — then harvests the tree with one sequential pass:
-    /// each output element is written exactly once (settled value or
-    /// unreachable sentinel), no sentinel prefill, no random-order
-    /// settling.
-    fn tree_inner<F: Fn(u32, u32) -> bool>(
-        &self,
-        source: NodeId,
-        scratch: &mut DijkstraScratch,
-        masked: F,
-    ) -> ShortestPathTree {
-        scratch.begin(self.n);
-        // Even stamp = touched this run, odd stamp = settled this run.
-        let ep = scratch.epoch;
-        let ep_done = ep + 1;
-        let DijkstraScratch {
-            nodes,
-            heap,
-            settled_total,
-            ..
-        } = scratch;
         let s = source.index();
-        nodes[s] = NodeRec {
-            dist: 0,
-            stamp: ep,
-            parent_node: NO_NODE,
-            parent_edge: NO_EDGE,
+        match mask {
+            Some(m) => self.settle_until(s, scratch, |e, v| m.half_edge_masked(e, v), |_, _| false),
+            None => self.settle_until(s, scratch, |_, _| false, |_, _| false),
         };
-        heap.push(Reverse(heap_key(0, s as u32)));
 
-        // lint:hot: the settle loop — the whole provisioning sweep lives here.
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if nodes[u].stamp == ep_done {
-                continue;
-            }
-            nodes[u].stamp = ep_done;
-            *settled_total += 1;
-            let d = nodes[u].dist;
-
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
-                let vt = he.target;
-                let rec = &mut nodes[vt as usize];
-                if rec.stamp == ep_done || masked(he.edge, vt) {
-                    continue;
-                }
-                let nd = d + he.weight;
-                if rec.stamp != ep || nd < rec.dist {
-                    *rec = NodeRec {
-                        dist: nd,
-                        stamp: ep,
-                        // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                        parent_node: u as u32,
-                        parent_edge: he.edge,
-                    };
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
-                }
-            }
-        }
-
-        // Harvest: after the loop every touched node is settled, so the
-        // odd stamp alone separates reached from unreachable.
+        // Harvest: after a full run every touched node is settled, so the
+        // odd stamp alone separates reached from unreachable. One
+        // sequential pass writes each output element exactly once.
         let n = self.n;
+        let done = scratch.epoch + 1;
         let mut dist = Vec::with_capacity(n);
         let mut parent_edge = Vec::with_capacity(n);
         let mut parent_node = Vec::with_capacity(n);
-        for rec in &nodes[..n] {
-            if rec.stamp == ep_done {
+        for rec in &scratch.nodes[..n] {
+            if rec.stamp == done {
                 dist.push(rec.dist);
                 parent_edge.push(rec.parent_edge);
                 parent_node.push(rec.parent_node);
@@ -636,7 +572,8 @@ impl CsrGraph {
         })
     }
 
-    /// The settle loop behind [`CsrGraph::point_to_point`] and
+    /// The one scalar settle loop, behind [`CsrGraph::full_tree_masked`]
+    /// (whose `stop` never fires), [`CsrGraph::point_to_point`] and
     /// [`CsrGraph::longest_tree_prefix`]: Dijkstra from `s` in `scratch`,
     /// keeping distances and parents only, generic over the half-edge
     /// mask predicate. Each node `u` is handed to `stop(u, run)` as it
@@ -672,8 +609,9 @@ impl CsrGraph {
         };
         heap.push(Reverse(heap_key(0, s as u32)));
 
-        // lint:hot: the settle loop. The cold stop exit drops out of the
-        // region so the caller can read the records freely.
+        // lint:hot: the settle loop of every scalar search. The cold stop
+        // exit drops out of the region so the caller can read the records
+        // freely.
         while let Some(Reverse(key)) = heap.pop() {
             let u = (key & NODE_MASK) as usize;
             if recs[u].stamp == ep_done {

@@ -39,14 +39,14 @@
 //!   (the *base* distance, not the padded `u128`; validity argument
 //!   below). An improvement re-keys the node in place; no duplicate
 //!   entries, so the pop count equals the settle count exactly, and
-//!   pad-only improvements skip the frontier entirely. Two disciplines
-//!   share the search loop through a monomorphized `Frontier` trait:
-//!   when every base weight in the compacted batch is
-//!   ≤ `BUCKET_MAX_WEIGHT` (OSPF-style metrics — every topology family
-//!   in the eval), **Dial's monotone bucket ring** makes push, pop, and
-//!   decrease-key O(1) division-free array ops; otherwise an **indexed
-//!   4-ary heap** (u64 key lane + u32 node lane) whose layout halves the
-//!   sift depth and puts all four children's keys on one 32-byte run;
+//!   pad-only improvements skip the frontier entirely. A unit-weight
+//!   batch (hop counts) sweeps two level queues; otherwise, when every
+//!   base weight in the compacted batch is ≤ `BUCKET_MAX_WEIGHT`
+//!   (OSPF-style metrics — every topology family in the eval), **Dial's
+//!   monotone bucket ring** makes push, pop, and decrease-key O(1)
+//!   division-free array ops. A batch with a heavier weight runs each
+//!   source through the scalar [`CsrGraph::full_tree_masked`] instead;
+//!   its trees are the same (unique shortest paths), only slower;
 //! * a **prefetch-friendly tree harvest**: one sequential pass over the
 //!   packed records writes each output element exactly once (settled
 //!   value or unreachable sentinel) into the tree's three per-field
@@ -78,13 +78,15 @@
 //! # Accounting
 //!
 //! The scratch counts frontier pushes, pops, and decrease-keys across
-//! its lifetime. [`par_all_sources_csr`](crate::par::par_all_sources_csr)
+//! its lifetime; a heavy-weight source counts one push and one pop per
+//! settled node and no decrease-keys (the scalar heap has none).
+//! [`par_all_sources_csr`](crate::par::par_all_sources_csr)
 //! surfaces the totals through [`ParStats`](crate::par::ParStats), and
 //! the core crate records them as `core.provision.heap_*` obs counters,
 //! so the duplicate-pop traffic this kernel eliminates is visible in
 //! live telemetry (`/metrics`, loadtest window JSONL).
 
-use super::{CsrGraph, FailureMask};
+use super::{CsrGraph, DijkstraScratch, FailureMask};
 use crate::cost::{splitmix64, CostModel};
 use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{NodeId, ShortestPathTree};
@@ -143,31 +145,10 @@ struct UnitEdge {
 
 const _: () = assert!(std::mem::size_of::<UnitEdge>() == 8);
 
-/// A compacted half-edge record the search loop can decode — lets
-/// [`run_search`] monomorphize over the 12-byte general record and the
-/// 8-byte unit-weight record.
-trait EdgeRec: Copy {
-    /// `(target, edge, base)` of this half-edge.
-    fn decode(self) -> (u32, u32, u32);
-}
-
-impl EdgeRec for SlimEdge {
-    #[inline(always)]
-    fn decode(self) -> (u32, u32, u32) {
-        (self.target, self.edge, self.base)
-    }
-}
-
-impl EdgeRec for UnitEdge {
-    #[inline(always)]
-    fn decode(self) -> (u32, u32, u32) {
-        (self.target, self.edge, 1)
-    }
-}
-
 /// Reusable working memory for [`CsrGraph::full_tree_batch`]: packed
-/// 32-byte per-node records, the per-batch compacted slim adjacency, and
-/// both frontier disciplines, shared across every source of a batch.
+/// 32-byte per-node records, the per-batch compacted slim adjacency, the
+/// frontier queues, and the scalar scratch a heavy-weight batch runs on,
+/// shared across every source of a batch.
 ///
 /// Reset between sources is O(1) (epoch stamps); buffers grow on demand
 /// and are never shrunk, so a scratch that served one batch serves the
@@ -204,17 +185,11 @@ pub struct SptBatchScratch {
     /// width forces a full clear every 127 runs — O(n) amortized to
     /// nothing.
     stamp: Vec<u8>,
-    /// Frontier position per node, valid only while `stamp[v] == epoch`:
-    /// heap slot (4-ary heap) or index within its bucket (Dial ring).
-    /// Kept out of [`BatchRec`] for the same reason as the stamps: sift
-    /// and bucket traffic stays inside this one small lane instead of
-    /// dirtying the record lines.
+    /// Index within its Dial bucket per node, valid only while
+    /// `stamp[v] == epoch`. Kept out of [`BatchRec`] for the same reason
+    /// as the stamps: bucket traffic stays inside this one small lane
+    /// instead of dirtying the record lines.
     pos: Vec<u32>,
-    /// Heap key lane: the base distance of each touched-unsettled node
-    /// (general-weight frontier).
-    keys: Vec<u64>,
-    /// Heap node lane, parallel to `keys`.
-    hnode: Vec<u32>,
     /// Dial bucket ring (small-weight frontier): `buckets[slot(d)]`
     /// holds the touched-unsettled nodes at base distance `d`. Capacity
     /// is kept across runs; every run drains its buckets completely.
@@ -228,8 +203,12 @@ pub struct SptBatchScratch {
     /// (`slim_wmax <= 1`); empty otherwise.
     unit: Vec<UnitEdge>,
     /// Maximum base weight over `slim` — selects the frontier discipline
-    /// (≤ [`BUCKET_MAX_WEIGHT`] ⇒ Dial buckets, else the 4-ary heap).
+    /// (≤ 1 ⇒ level queues, ≤ [`BUCKET_MAX_WEIGHT`] ⇒ Dial buckets, else
+    /// the scalar search on `scalar`).
     slim_wmax: u32,
+    /// Working memory of the scalar search a heavy-weight batch runs;
+    /// empty until one does.
+    scalar: DijkstraScratch,
     runs: u64,
     settled_total: u64,
     heap_pushes: u64,
@@ -239,21 +218,20 @@ pub struct SptBatchScratch {
 
 impl SptBatchScratch {
     /// A batch scratch with capacity for `n`-node graphs (grows on
-    /// demand). All buffers — including the frontier — are reserved up
-    /// front, so reuse never reallocates mid-sweep.
+    /// demand). The per-node lanes are reserved up front; the buckets
+    /// keep their capacity, so reuse never reallocates mid-sweep.
     pub fn new(n: usize) -> Self {
         SptBatchScratch {
             epoch: 0,
             recs: vec![EMPTY_BATCH_REC; n],
             stamp: vec![0; n],
             pos: vec![0; n],
-            keys: Vec::with_capacity(n),
-            hnode: Vec::with_capacity(n),
             buckets: Vec::new(),
             soff: Vec::with_capacity(n + 1),
             slim: Vec::new(),
             unit: Vec::new(),
             slim_wmax: 0,
+            scalar: DijkstraScratch::new(0),
             runs: 0,
             settled_total: 0,
             heap_pushes: 0,
@@ -263,17 +241,12 @@ impl SptBatchScratch {
     }
 
     /// Prepares for one source's run over an `n`-node graph: bumps the
-    /// epoch (handling wrap-around), grows buffers if needed, empties
-    /// the frontier (capacity is kept).
+    /// epoch (handling wrap-around) and grows buffers if needed.
     fn begin(&mut self, n: usize) {
         if self.recs.len() < n {
             self.recs.resize(n, EMPTY_BATCH_REC);
             self.stamp.resize(n, 0);
             self.pos.resize(n, 0);
-        }
-        if self.keys.capacity() < n {
-            self.keys.reserve(n - self.keys.len());
-            self.hnode.reserve(n.saturating_sub(self.hnode.len()));
         }
         self.epoch = self.epoch.wrapping_add(2);
         if self.epoch & 0xff == 0 {
@@ -283,8 +256,6 @@ impl SptBatchScratch {
             self.stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = self.epoch.wrapping_add(2);
         }
-        self.keys.clear();
-        self.hnode.clear();
         self.runs += 1;
     }
 
@@ -321,7 +292,7 @@ impl SptBatchScratch {
     /// duplicate heap entry plus a stale pop. Here it is at most an
     /// in-place re-key (and not even that when only pad bits improved:
     /// the base-distance key is unchanged, so the frontier needs no work
-    /// at all).
+    /// at all). A heavy-weight batch's scalar search counts none.
     #[inline]
     pub fn decrease_keys(&self) -> u64 {
         self.decrease_keys
@@ -333,124 +304,15 @@ impl SptBatchScratch {
 /// base distances, so a ring of `w_max + 1` buckets replaces the heap
 /// and every queue operation is O(1). OSPF-style metrics (the paper's
 /// networks, the ISP fixture, every topology family in the eval) sit
-/// far below this; larger weights fall back to the indexed 4-ary heap.
+/// far below this; a batch with larger weights runs the scalar search.
 const BUCKET_MAX_WEIGHT: u32 = 1024;
 
-/// The frontier (priority queue) of the batched kernel, keyed by *base*
-/// distance (see the module docs for why `u64` base keys are exact).
-/// `pos[]` is threaded through every call so implementations can keep
-/// their node→slot index coherent.
-trait Frontier {
-    /// Inserts a node with the given base-distance key.
-    fn push(&mut self, node: u32, key: u64, pos: &mut [u32]);
-    /// Removes and returns a node with the minimum key, or `None` when
-    /// empty.
-    fn pop(&mut self, pos: &mut [u32]) -> Option<u32>;
-    /// Re-keys a queued node from `old` to the strictly smaller `new`.
-    fn decrease(&mut self, node: u32, old: u64, new: u64, pos: &mut [u32]);
-}
-
-/// 4-ary sift-up from `i`: moves the entry at `i` toward the root until
-/// its parent key is no larger, updating `pos[]` for every displaced
-/// entry.
-#[inline]
-fn sift_up(keys: &mut [u64], hnode: &mut [u32], pos: &mut [u32], mut i: usize) {
-    let key = keys[i];
-    let node = hnode[i];
-    while i > 0 {
-        let p = (i - 1) / 4;
-        let pk = keys[p];
-        if pk <= key {
-            break;
-        }
-        keys[i] = pk;
-        let pn = hnode[p];
-        hnode[i] = pn;
-        pos[pn as usize] = i as u32;
-        i = p;
-    }
-    keys[i] = key;
-    hnode[i] = node;
-    pos[node as usize] = i as u32;
-}
-
-/// 4-ary sift-down from `i`: moves the entry toward the leaves until no
-/// child key is smaller. The four children of one slot are adjacent
-/// `u64`s — half a cache line.
-#[inline]
-fn sift_down(keys: &mut [u64], hnode: &mut [u32], pos: &mut [u32], mut i: usize) {
-    let len = keys.len();
-    let key = keys[i];
-    let node = hnode[i];
-    loop {
-        let c0 = 4 * i + 1;
-        if c0 >= len {
-            break;
-        }
-        let cend = (c0 + 4).min(len);
-        let mut mc = c0;
-        let mut mk = keys[c0];
-        for (off, &ck) in keys[c0 + 1..cend].iter().enumerate() {
-            if ck < mk {
-                mc = c0 + 1 + off;
-                mk = ck;
-            }
-        }
-        if mk >= key {
-            break;
-        }
-        keys[i] = mk;
-        let mn = hnode[mc];
-        hnode[i] = mn;
-        pos[mn as usize] = i as u32;
-        i = mc;
-    }
-    keys[i] = key;
-    hnode[i] = node;
-    pos[node as usize] = i as u32;
-}
-
-/// The general-weight frontier: an indexed 4-ary heap with decrease-key
-/// over the scratch's `keys`/`hnode` lanes.
-struct QuadHeap<'a> {
-    keys: &'a mut Vec<u64>,
-    hnode: &'a mut Vec<u32>,
-}
-
-impl Frontier for QuadHeap<'_> {
-    #[inline]
-    fn push(&mut self, node: u32, key: u64, pos: &mut [u32]) {
-        self.keys.push(key);
-        self.hnode.push(node);
-        let end = self.keys.len() - 1;
-        sift_up(self.keys, self.hnode, pos, end);
-    }
-
-    #[inline]
-    fn pop(&mut self, pos: &mut [u32]) -> Option<u32> {
-        let top = *self.hnode.first()?;
-        let lk = self.keys.pop().unwrap_or(0);
-        let ln = self.hnode.pop().unwrap_or(top);
-        if !self.keys.is_empty() {
-            self.keys[0] = lk;
-            self.hnode[0] = ln;
-            sift_down(self.keys, self.hnode, pos, 0);
-        }
-        Some(top)
-    }
-
-    #[inline]
-    fn decrease(&mut self, node: u32, _old: u64, new: u64, pos: &mut [u32]) {
-        let at = pos[node as usize] as usize;
-        self.keys[at] = new;
-        sift_up(self.keys, self.hnode, pos, at);
-    }
-}
-
-/// The small-weight frontier: Dial's monotone bucket ring. `cur` sweeps
-/// base distances upward; all live keys sit in `[cur, cur + c)` (every
-/// edge adds at least 1 and at most `c - 1 = w_max` to a settled
-/// distance), so each key maps to exactly one ring slot. The slot is
+/// The batched kernel's frontier, keyed by *base* distance (see the
+/// module docs for why `u64` base keys are exact): Dial's monotone
+/// bucket ring. `cur` sweeps base distances upward; all live keys sit
+/// in `[cur, cur + c)` (every edge adds at least 1 and at most
+/// `c - 1 = w_max` to a settled distance), so each key maps to exactly
+/// one ring slot. The slot is
 /// computed *incrementally* — `cur`'s slot index rides along with `cur`
 /// and a key's offset from `cur` is a subtract-compare, never a `% c`
 /// division (a runtime-divisor `%` costs tens of cycles on every one of
@@ -485,9 +347,8 @@ impl BucketQueue<'_> {
             off
         }
     }
-}
 
-impl Frontier for BucketQueue<'_> {
+    /// Inserts a node with the given base-distance key.
     #[inline]
     fn push(&mut self, node: u32, key: u64, pos: &mut [u32]) {
         let b = &mut self.buckets[self.slot(key)];
@@ -496,8 +357,10 @@ impl Frontier for BucketQueue<'_> {
         self.live += 1;
     }
 
+    /// Removes and returns a node with the minimum key, or `None` when
+    /// empty.
     #[inline]
-    fn pop(&mut self, _pos: &mut [u32]) -> Option<u32> {
+    fn pop(&mut self) -> Option<u32> {
         if self.live == 0 {
             return None;
         }
@@ -515,6 +378,7 @@ impl Frontier for BucketQueue<'_> {
         }
     }
 
+    /// Re-keys a queued node from `old` to the strictly smaller `new`.
     #[inline]
     fn decrease(&mut self, node: u32, old: u64, new: u64, pos: &mut [u32]) {
         let ob = self.slot(old);
@@ -530,22 +394,22 @@ impl Frontier for BucketQueue<'_> {
     }
 }
 
-/// The shared search loop of the batched kernel, monomorphized per
-/// frontier discipline. Relaxations compare full `u128` perturbed
-/// distances; only the frontier is keyed by the `u64` base half, so the
-/// settled records are bit-identical across disciplines (module docs).
+/// The bucket-ring search loop of the batched kernel. Relaxations
+/// compare full `u128` perturbed distances; only the frontier is keyed
+/// by the `u64` base half, so the settled records are bit-identical to
+/// the scalar path (module docs).
 #[allow(clippy::too_many_arguments)] // split-borrow plumbing, not an API
 #[inline]
-fn run_search<E: EdgeRec, Q: Frontier>(
+fn run_search(
     soff: &[u32],
-    slim: &[E],
+    slim: &[SlimEdge],
     seed: u64,
     s: usize,
     ep: u8,
     recs: &mut [BatchRec],
     stamp: &mut [u8],
     pos: &mut [u32],
-    q: &mut Q,
+    q: &mut BucketQueue<'_>,
     settled_total: &mut u64,
     heap_pushes: &mut u64,
     heap_pops: &mut u64,
@@ -562,7 +426,7 @@ fn run_search<E: EdgeRec, Q: Frontier>(
     *heap_pushes += 1;
 
     // lint:hot: the batched settle loop (every provisioning source runs it).
-    while let Some(un) = q.pop(pos) {
+    while let Some(un) = q.pop() {
         *heap_pops += 1;
         let u = un as usize;
         debug_assert_eq!(
@@ -581,8 +445,7 @@ fn run_search<E: EdgeRec, Q: Frontier>(
 
         // lint:allow(hot-path) — `soff` has n+1 entries, so `u + 1` is in bounds for every settled node id
         let (lo, hi) = (soff[u] as usize, soff[u + 1] as usize);
-        for &se in &slim[lo..hi] {
-            let (target, edge, base) = se.decode();
+        for &SlimEdge { target, edge, base } in &slim[lo..hi] {
             let v = target as usize;
             // The settled-target fast path never leaves the one-byte
             // stamp lane — no record line is touched.
@@ -764,6 +627,8 @@ impl CsrGraph {
             assert!(source.index() < self.n, "source {source} out of range");
             let tree = if mask.is_some_and(|m| m.node_failed(source)) {
                 ShortestPathTree::unreachable(source, self.n)
+            } else if scratch.slim_wmax > BUCKET_MAX_WEIGHT {
+                self.heavy_tree(source, mask, scratch)
             } else {
                 self.batch_tree_inner(source, scratch)
             };
@@ -823,10 +688,30 @@ impl CsrGraph {
         }
     }
 
+    /// One source of a batch whose base weights exceed
+    /// [`BUCKET_MAX_WEIGHT`]: the scalar search on the scratch's
+    /// [`DijkstraScratch`], counted as one push and one pop per settled
+    /// node.
+    fn heavy_tree(
+        &self,
+        source: NodeId,
+        mask: Option<&FailureMask>,
+        scratch: &mut SptBatchScratch,
+    ) -> ShortestPathTree {
+        let before = scratch.scalar.settled_total();
+        let tree = self.full_tree_masked(source, mask, &mut scratch.scalar);
+        let settled = scratch.scalar.settled_total() - before;
+        scratch.runs += 1;
+        scratch.settled_total += settled;
+        scratch.heap_pushes += settled;
+        scratch.heap_pops += settled;
+        tree
+    }
+
     /// One source's run of the batched kernel over the pre-built slim
     /// adjacency (mask already applied at build time). Dispatches the
     /// frontier discipline on the batch's maximum base weight, runs the
-    /// monomorphized search, then harvests.
+    /// search, then harvests.
     fn batch_tree_inner(&self, source: NodeId, scratch: &mut SptBatchScratch) -> ShortestPathTree {
         scratch.begin(self.n);
         let ep = (scratch.epoch & 0xff) as u8;
@@ -836,8 +721,6 @@ impl CsrGraph {
             recs,
             stamp,
             pos,
-            keys,
-            hnode,
             buckets,
             soff,
             slim,
@@ -878,7 +761,7 @@ impl CsrGraph {
                 heap_pops,
                 decrease_keys,
             );
-        } else if *slim_wmax <= BUCKET_MAX_WEIGHT {
+        } else {
             let c = *slim_wmax as usize + 1;
             if buckets.len() < c {
                 buckets.resize_with(c, Vec::new);
@@ -890,23 +773,6 @@ impl CsrGraph {
                 cur_idx: 0,
                 live: 0,
             };
-            run_search(
-                soff,
-                slim,
-                seed,
-                s,
-                ep,
-                recs,
-                stamp,
-                pos,
-                &mut q,
-                settled_total,
-                heap_pushes,
-                heap_pops,
-                decrease_keys,
-            );
-        } else {
-            let mut q = QuadHeap { keys, hnode };
             run_search(
                 soff,
                 slim,
@@ -1115,7 +981,7 @@ mod tests {
     }
 
     /// A graph whose base weights exceed [`BUCKET_MAX_WEIGHT`], forcing
-    /// the indexed 4-ary heap discipline.
+    /// the scalar search.
     fn heavy_graph(n: usize, m: usize, seed: u64) -> Graph {
         let mut g = Graph::new(n);
         let mut rng = DetRng::seed_from_u64(seed);
@@ -1145,9 +1011,8 @@ mod tests {
         assert_eq!(got, want);
         assert!(
             batch.slim_wmax > BUCKET_MAX_WEIGHT,
-            "fixture must actually exercise the heap discipline"
+            "fixture must actually take the heavy-weight path"
         );
-        assert_eq!(batch.heap_pops(), batch.settled_total());
     }
 
     #[test]
@@ -1164,24 +1029,48 @@ mod tests {
             batch.buckets.iter().all(Vec::is_empty),
             "every run drains its buckets completely"
         );
-        assert!(
-            batch.keys.is_empty(),
-            "heap lanes unused on the bucket path"
-        );
     }
 
     #[test]
-    fn heap_never_reallocates_after_first_batch() {
-        let g = heavy_graph(50, 140, 8);
-        let model = CostModel::new(Metric::Weighted, 3);
-        let csr = CsrGraph::new(&g, &model);
-        let mut batch = SptBatchScratch::new(csr.node_count());
-        let sources: Vec<NodeId> = g.nodes().collect();
-        let _ = csr.full_tree_batch(&sources, None, &mut batch);
-        assert!(batch.slim_wmax > BUCKET_MAX_WEIGHT, "heap path required");
-        let cap = batch.keys.capacity();
-        assert!(cap >= csr.node_count());
-        let _ = csr.full_tree_batch(&sources, None, &mut batch);
-        assert_eq!(batch.keys.capacity(), cap, "reuse must not reallocate");
+    fn one_scratch_switches_frontier_between_batches() {
+        let heavy = heavy_graph(40, 100, 5);
+        let light = random_graph(40, 100, 5); // weights 1..=50
+        let weighted = CostModel::new(Metric::Weighted, 31);
+        let unit = CostModel::new(Metric::Unweighted, 31);
+        let frontier = |wmax: u32| match wmax {
+            0..=1 => "unit",
+            w if w <= BUCKET_MAX_WEIGHT => "bucket",
+            _ => "heavy",
+        };
+        let mut batch = SptBatchScratch::new(0);
+        let mut scalar = DijkstraScratch::new(0);
+        let batches = [
+            (&heavy, weighted, "heavy"),
+            (&light, weighted, "bucket"),
+            (&heavy, weighted, "heavy"),
+            (&light, unit, "unit"),
+        ];
+        for (g, model, want_frontier) in batches {
+            let csr = CsrGraph::new(g, &model);
+            let mut set = FailureSet::new();
+            set.fail_edge(EdgeId::new(2));
+            set.fail_node(NodeId::new(7));
+            let mask = FailureMask::from_set(&csr, &set);
+            let sources: Vec<NodeId> = g.nodes().collect();
+            for m in [None, Some(&mask)] {
+                let want: Vec<_> = sources
+                    .iter()
+                    .map(|&s| csr.full_tree_masked(s, m, &mut scalar))
+                    .collect();
+                let got = csr.full_tree_batch(&sources, m, &mut batch);
+                assert_eq!(got, want, "{want_frontier} batch, masked: {}", m.is_some());
+                assert_eq!(frontier(batch.slim_wmax), want_frontier);
+                assert!(
+                    batch.buckets.iter().all(Vec::is_empty),
+                    "every batch drains its buckets completely"
+                );
+            }
+        }
+        assert_eq!(batch.heap_pops(), batch.settled_total());
     }
 }

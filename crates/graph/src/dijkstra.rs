@@ -1,9 +1,7 @@
 //! Dijkstra's algorithm over a [`Topology`], using perturbed `u128` costs
 //! for unique tie-breaking (see [`CostModel`]).
 
-use crate::{
-    CostModel, EdgeId, FailureSet, Graph, NodeId, Path, PathCost, ShortestPathTree, Topology,
-};
+use crate::{CostModel, EdgeId, NodeId, Path, PathCost, ShortestPathTree, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -156,27 +154,10 @@ pub fn distance<T: Topology>(
     shortest_path(topo, model, s, t).map(|p| p.cost(topo.graph(), model))
 }
 
-/// Convenience wrapper: shortest path in `graph` after applying `failures`.
-///
-/// Equivalent to `shortest_path(&failures.view(graph), model, s, t)`.
-///
-/// # Panics
-///
-/// Panics if `s` or `t` is out of range.
-pub fn shortest_path_avoiding(
-    graph: &Graph,
-    model: &CostModel,
-    s: NodeId,
-    t: NodeId,
-    failures: &FailureSet,
-) -> Option<Path> {
-    shortest_path(&failures.view(graph), model, s, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Metric;
+    use crate::{FailureSet, Graph, Metric};
 
     fn model() -> CostModel {
         CostModel::new(Metric::Weighted, 17)
@@ -237,7 +218,7 @@ mod tests {
         // Fail 0-2; distance to 2 must go 0-1-2 = 14.
         let e = g.find_edge(0.into(), 2.into()).unwrap();
         let f = FailureSet::of_edge(e);
-        let p = shortest_path_avoiding(&g, &model(), 0.into(), 2.into(), &f).unwrap();
+        let p = shortest_path(&f.view(&g), &model(), 0.into(), 2.into()).unwrap();
         assert_eq!(p.cost(&g, &model()).base, 14);
         assert!(!p.contains_edge(e));
     }
@@ -247,7 +228,7 @@ mod tests {
         let g = sample();
         // Fail node 2: 0->4 must go 0-1-3-4 = 19.
         let f = FailureSet::of_nodes([2usize]);
-        let p = shortest_path_avoiding(&g, &model(), 0.into(), 4.into(), &f).unwrap();
+        let p = shortest_path(&f.view(&g), &model(), 0.into(), 4.into()).unwrap();
         assert_eq!(p.cost(&g, &model()).base, 19);
         assert!(!p.contains_node(2.into()));
     }

@@ -4,7 +4,6 @@ use crate::{EdgeId, GraphError, NodeId};
 
 /// One stored (undirected) edge: endpoints and an OSPF-style positive weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeRecord {
     /// First endpoint (the `u` passed to [`Graph::add_edge`]).
     pub u: NodeId,
@@ -82,7 +81,6 @@ pub struct DegreeStats {
 /// # }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Graph {
     edges: Vec<EdgeRecord>,
     adj: Vec<Vec<(NodeId, EdgeId)>>,

@@ -13,7 +13,6 @@ use core::fmt;
 /// assert_eq!(v.to_string(), "n7");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -61,7 +60,6 @@ impl fmt::Display for NodeId {
 /// assert_eq!(e.to_string(), "e3");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct EdgeId(u32);
 
 impl EdgeId {

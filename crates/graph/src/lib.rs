@@ -77,7 +77,7 @@ pub use counting::{count_shortest_paths, max_shortest_path_multiplicity};
 pub use csr::{CsrGraph, DijkstraScratch, FailureMask, RepairWork, SptBatchScratch, TreeOwner};
 pub use cuts::{cut_elements, CutElements};
 pub use digraph::{ArcId, ArcRecord, DiGraph};
-pub use dijkstra::{distance, shortest_path, shortest_path_avoiding, shortest_path_tree};
+pub use dijkstra::{distance, shortest_path, shortest_path_tree};
 pub use dynamic::{
     repair_after_failure, repair_after_failures, repair_after_failures_with,
     repair_after_recoveries, repair_after_recoveries_with, repair_after_recovery, DynamicSpt,

@@ -8,8 +8,8 @@
 //! batch), and each thread runs its chunks through the **batched
 //! decrease-key kernel** ([`CsrGraph::full_tree_batch_with`]), reusing
 //! one [`SptBatchScratch`] across all the trees it computes — the
-//! structure-of-arrays working state and the indexed 4-ary heap are
-//! allocated once per worker, never per chunk or per source.
+//! packed per-node records and the frontier queues are allocated once
+//! per worker, never per chunk or per source.
 //!
 //! # Determinism
 //!
@@ -94,6 +94,17 @@ impl ParStats {
     pub fn total_decrease_keys(&self) -> u64 {
         self.decrease_keys.iter().sum()
     }
+
+    /// Appends one thread's lanes: the chunks it claimed and its
+    /// scratch's lifetime totals.
+    fn push_thread(&mut self, claims: u64, scratch: &SptBatchScratch) {
+        self.chunk_claims.push(claims);
+        self.settled.push(scratch.settled_total());
+        self.scratch_runs.push(scratch.runs());
+        self.heap_pushes.push(scratch.heap_pushes());
+        self.heap_pops.push(scratch.heap_pops());
+        self.decrease_keys.push(scratch.decrease_keys());
+    }
 }
 
 /// Node count below which a parallel batch runs inline instead.
@@ -175,12 +186,7 @@ pub fn par_all_sources_csr(
         // serial arm is simply the batched kernel over the whole list.
         let mut scratch = SptBatchScratch::new(csr.node_count());
         let trees = csr.full_tree_batch(sources, mask, &mut scratch);
-        stats.chunk_claims.push(stats.chunks as u64);
-        stats.settled.push(scratch.settled_total());
-        stats.scratch_runs.push(scratch.runs());
-        stats.heap_pushes.push(scratch.heap_pushes());
-        stats.heap_pops.push(scratch.heap_pops());
-        stats.decrease_keys.push(scratch.decrease_keys());
+        stats.push_thread(stats.chunks as u64, &scratch);
         return (trees, stats);
     }
 
@@ -228,14 +234,7 @@ pub fn par_all_sources_csr(
                 .collect();
             for handle in handles {
                 match handle.join() {
-                    Ok((claims, scratch)) => {
-                        stats.chunk_claims.push(claims);
-                        stats.scratch_runs.push(scratch.runs());
-                        stats.settled.push(scratch.settled_total());
-                        stats.heap_pushes.push(scratch.heap_pushes());
-                        stats.heap_pops.push(scratch.heap_pops());
-                        stats.decrease_keys.push(scratch.decrease_keys());
-                    }
+                    Ok((claims, scratch)) => stats.push_thread(claims, &scratch),
                     Err(panic) => std::panic::resume_unwind(panic),
                 }
             }

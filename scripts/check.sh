@@ -54,6 +54,9 @@ cargo build --workspace --no-default-features -q
 echo "== cargo build -p rbpc-obs --no-default-features (obs-net stub compiles)"
 cargo build -p rbpc-obs --no-default-features -q
 
+echo "== cargo check --workspace --all-features (every declared feature builds)"
+cargo check --workspace --all-features -q
+
 echo "== rbpc-eval loadtest --smoke (live-telemetry end-to-end)"
 cargo run -q -p rbpc-eval -- loadtest --smoke --out /tmp/rbpc-loadtest-smoke.jsonl
 rm -f /tmp/rbpc-loadtest-smoke.jsonl

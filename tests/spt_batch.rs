@@ -6,8 +6,9 @@
 //! sizes {1, 7, 64}, *one reused scratch across all of them*, and thread
 //! counts {1, 2, 8} through
 //! [`par_all_sources_csr`] (whose workers run the batch kernel). A
-//! large-weight family pins the indexed 4-ary heap discipline, which the
-//! unit- and small-weight eval topologies never reach; the kernel's
+//! large-weight family pins the batches above the bucket ceiling, which
+//! run the scalar search and which the unit- and small-weight eval
+//! topologies never reach; the kernel's
 //! frontier accounting invariants (pops ≡ settles, pushes ≡ settles for
 //! a connected healthy batch) are asserted on the way. Both kernels'
 //! trees derive the base distance from the perturbed one, so it is
@@ -158,8 +159,8 @@ fn waxman_family_matches_scalar() {
 
 #[test]
 fn heavy_weight_family_pins_heap_discipline() {
-    // Base weights far above the bucket ceiling: the indexed 4-ary heap
-    // runs, which no eval topology reaches.
+    // Base weights far above the bucket ceiling: the batch runs the
+    // scalar search, which no eval topology reaches.
     let mut graph = Graph::new(500);
     let mut rng = DetRng::seed_from_u64(35);
     while graph.edge_count() < 1_500 {
