@@ -5,11 +5,10 @@
 //! so every computed restoration can be validated by forwarding a packet
 //! through the (failed) network.
 
-use crate::{Concatenation, LocalRestoration, Restoration, SegmentKind};
-use rbpc_graph::{EdgeId, FailureSet, NodeId};
+use crate::{Concatenation, LocalRestoration, Restoration, Segment, SegmentKind};
+use rbpc_graph::{EdgeId, FailureSet, IdMap, NodeId};
 use rbpc_mpls::{ForwardError, ForwardTrace, Label, LspId, MplsError, MplsNetwork, SinkTreeId};
 use rbpc_obs::{obs_count, obs_span};
-use std::collections::BTreeMap;
 
 use crate::BasePathOracle;
 
@@ -32,11 +31,43 @@ pub struct TableReport {
 #[derive(Debug)]
 pub struct ProvisionedDomain {
     net: MplsNetwork,
-    // Ordered maps: provisioning sweeps and table dumps must visit LSPs
-    // in the same order on every run, independent of any hasher.
-    by_pair: BTreeMap<(NodeId, NodeId), LspId>,
-    by_edge: BTreeMap<(EdgeId, NodeId), LspId>,
-    sink_by_dest: BTreeMap<NodeId, SinkTreeId>,
+    segments: SegmentLsps,
+    sink_by_dest: IdMap<NodeId, SinkTreeId>,
+}
+
+/// The LSP that carries each kind of concatenation segment.
+///
+/// Its maps, like `sink_by_dest`, serve lookups only: nothing iterates
+/// them (sweeps walk node ids, and table reports read the routers), so
+/// their hash order reaches no output.
+#[derive(Debug, Default)]
+struct SegmentLsps {
+    /// The base LSP of each ordered pair.
+    by_pair: IdMap<(NodeId, NodeId), LspId>,
+    /// The one-hop LSP of each raw edge, keyed by edge and start router.
+    by_edge: IdMap<(EdgeId, NodeId), LspId>,
+}
+
+impl SegmentLsps {
+    fn key(seg: &Segment) -> (EdgeId, NodeId) {
+        (seg.path.edges()[0], seg.source())
+    }
+
+    /// The LSP carrying `seg`, if one exists.
+    fn get(&self, seg: &Segment) -> Option<LspId> {
+        match seg.kind {
+            SegmentKind::BasePath => self.by_pair.get(&(seg.source(), seg.target())),
+            SegmentKind::RawEdge => self.by_edge.get(&Self::key(seg)),
+        }
+        .copied()
+    }
+
+    fn insert(&mut self, seg: &Segment, id: LspId) {
+        match seg.kind {
+            SegmentKind::BasePath => self.by_pair.insert((seg.source(), seg.target()), id),
+            SegmentKind::RawEdge => self.by_edge.insert(Self::key(seg), id),
+        };
+    }
 }
 
 impl ProvisionedDomain {
@@ -44,9 +75,8 @@ impl ProvisionedDomain {
     pub fn new<O: BasePathOracle>(oracle: &O) -> Self {
         ProvisionedDomain {
             net: MplsNetwork::new(oracle.graph().clone()),
-            by_pair: BTreeMap::new(),
-            by_edge: BTreeMap::new(),
-            sink_by_dest: BTreeMap::new(),
+            segments: SegmentLsps::default(),
+            sink_by_dest: IdMap::default(),
         }
     }
 
@@ -62,7 +92,7 @@ impl ProvisionedDomain {
 
     /// The base LSP provisioned for an ordered pair, if any.
     pub fn lsp_for_pair(&self, s: NodeId, t: NodeId) -> Option<LspId> {
-        self.by_pair.get(&(s, t)).copied()
+        self.segments.by_pair.get(&(s, t)).copied()
     }
 
     /// Provisions the base LSP for `s → t` (idempotent) and installs the
@@ -81,7 +111,7 @@ impl ProvisionedDomain {
         if s == t {
             return Ok(None);
         }
-        if let Some(&id) = self.by_pair.get(&(s, t)) {
+        if let Some(&id) = self.segments.by_pair.get(&(s, t)) {
             return Ok(Some(id));
         }
         let Some(path) = oracle.base_path(s, t) else {
@@ -89,7 +119,7 @@ impl ProvisionedDomain {
         };
         let id = self.net.establish_lsp(&path)?;
         obs_count!("core.provision.pair_lsps");
-        self.by_pair.insert((s, t), id);
+        self.segments.by_pair.insert((s, t), id);
         self.net.set_fec_via_lsps(s, t, &[id])?;
         Ok(Some(id))
     }
@@ -179,12 +209,11 @@ impl ProvisionedDomain {
                     },
                 )?,
                 SegmentKind::RawEdge => {
-                    let key = (seg.path.edges()[0], seg.source());
-                    let id = match self.by_edge.get(&key) {
-                        Some(&id) => id,
+                    let id = match self.segments.get(seg) {
+                        Some(id) => id,
                         None => {
                             let id = self.net.establish_lsp(&seg.path)?;
-                            self.by_edge.insert(key, id);
+                            self.segments.insert(seg, id);
                             id
                         }
                     };
@@ -208,37 +237,21 @@ impl ProvisionedDomain {
         &mut self,
         conc: &Concatenation,
     ) -> Result<Vec<LspId>, MplsError> {
-        let mut out = Vec::with_capacity(conc.len());
-        for seg in conc.segments() {
-            let id = match seg.kind {
-                SegmentKind::BasePath => {
-                    let key = (seg.source(), seg.target());
-                    match self.by_pair.get(&key) {
-                        Some(&id) => id,
-                        None => {
-                            let id = self.net.establish_lsp(&seg.path)?;
-                            obs_count!("core.provision.on_demand_lsps");
-                            self.by_pair.insert(key, id);
-                            id
-                        }
-                    }
-                }
-                SegmentKind::RawEdge => {
-                    let key = (seg.path.edges()[0], seg.source());
-                    match self.by_edge.get(&key) {
-                        Some(&id) => id,
-                        None => {
-                            let id = self.net.establish_lsp(&seg.path)?;
-                            obs_count!("core.provision.on_demand_lsps");
-                            self.by_edge.insert(key, id);
-                            id
-                        }
-                    }
-                }
-            };
-            out.push(id);
+        conc.segments()
+            .iter()
+            .map(|seg| self.segment_lsp(seg))
+            .collect()
+    }
+
+    /// The LSP that carries `seg`, established on demand.
+    fn segment_lsp(&mut self, seg: &Segment) -> Result<LspId, MplsError> {
+        if let Some(id) = self.segments.get(seg) {
+            return Ok(id);
         }
-        Ok(out)
+        let id = self.net.establish_lsp(&seg.path)?;
+        obs_count!("core.provision.on_demand_lsps");
+        self.segments.insert(seg, id);
+        Ok(id)
     }
 
     /// Applies a **source RBPC** restoration: one FEC rewrite at the
@@ -250,8 +263,17 @@ impl ProvisionedDomain {
     pub fn apply_source_restoration(&mut self, r: &Restoration) -> Result<(), MplsError> {
         let _span = obs_span!("core.apply.source.ns");
         obs_count!("core.apply.source");
-        let chain = self.lsps_for_concatenation(&r.concatenation)?;
-        self.net.set_fec_via_lsps(r.source, r.target, &chain)
+        let segments = r.concatenation.segments();
+        // Establish any missing LSP first; the rewrite then only reads.
+        for seg in segments {
+            self.segment_lsp(seg)?;
+        }
+        let lsps = &self.segments;
+        let chain = segments.iter().map(|seg| {
+            lsps.get(seg)
+                .expect("invariant: every segment's LSP was established above")
+        });
+        self.net.set_fec_via_chain(r.source, r.target, chain)
     }
 
     /// Applies a **local RBPC** splice for the broken LSP `lsp`: rewrites

@@ -286,6 +286,17 @@ mod tests {
         assert_eq!(f.merged, n * n);
     }
 
+    /// The three deployments' ILM counts, pinned: any change to how the
+    /// data plane allocates or stores labels must leave them as they are.
+    #[test]
+    fn footprint_is_pinned() {
+        let f = provisioning_footprint(&small_oracle());
+        assert_eq!(
+            (f.per_pair, f.per_pair_php, f.merged),
+            (6_894, 5_254, 1_681)
+        );
+    }
+
     #[test]
     fn ksp_rows_behave() {
         let oracle = small_oracle();

@@ -19,6 +19,8 @@
 //! padding.
 
 use crate::{EdgeId, Graph};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Distance metric used by an experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -58,6 +60,58 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
 }
+
+/// The hasher of the workspace's maps keyed by small integer ids
+/// ([`NodeId`](crate::NodeId), [`EdgeId`], MPLS labels and tuples of them).
+/// Each word costs one rotate, xor and multiply (the FxHash step), where
+/// the standard SipHash runs several rounds per key.
+///
+/// It is not collision-resistant against chosen keys, which is fine for
+/// ids the process allocates itself. Its iteration order is an artifact
+/// of the mixing, so a map hashed by it serves lookups only: nothing may
+/// iterate one where the order could reach an output.
+///
+/// ```
+/// use rbpc_graph::{IdMap, NodeId};
+/// let mut m: IdMap<(NodeId, NodeId), u32> = IdMap::default();
+/// m.insert((NodeId::new(1), NodeId::new(2)), 7);
+/// assert_eq!(m.get(&(NodeId::new(1), NodeId::new(2))), Some(&7));
+/// assert_eq!(m.get(&(NodeId::new(2), NodeId::new(1))), None);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// The cost of a path under a [`CostModel`]: the original-metric cost, the
 /// tie-broken perturbed cost, and the hop count.
@@ -250,5 +304,24 @@ mod tests {
             seen.insert(splitmix64(i));
         }
         assert_eq!(seen.len(), 1000);
+    }
+
+    #[test]
+    fn id_hasher_separates_ordered_pairs() {
+        use crate::NodeId;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let mut seen = std::collections::HashSet::new();
+        for s in 0..300 {
+            for t in 0..300 {
+                seen.insert(build.hash_one((NodeId::new(s), NodeId::new(t))));
+            }
+        }
+        assert_eq!(seen.len(), 300 * 300);
+        let mut a = IdHasher::default();
+        a.write_u32(9);
+        let mut b = IdHasher::default();
+        b.write_u64(9);
+        assert_eq!(a.finish(), b.finish());
     }
 }

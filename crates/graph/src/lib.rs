@@ -72,7 +72,7 @@ mod view;
 mod yen;
 
 pub use bfs::{bfs_distances, connected_components, is_connected, ComponentLabels};
-pub use cost::{splitmix64, CostModel, Metric, PathCost};
+pub use cost::{splitmix64, CostModel, IdHasher, IdMap, Metric, PathCost};
 pub use counting::{count_shortest_paths, max_shortest_path_multiplicity};
 pub use csr::{CsrGraph, DijkstraScratch, FailureMask, RepairWork, SptBatchScratch, TreeOwner};
 pub use cuts::{cut_elements, CutElements};

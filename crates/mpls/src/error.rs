@@ -47,6 +47,14 @@ pub enum MplsError {
         /// The unmatched label.
         label: Label,
     },
+    /// A label the router never allocated (reserved, or at or above its
+    /// next label) cannot hold an ILM entry.
+    UnallocatedLabel {
+        /// The router.
+        router: NodeId,
+        /// The refused label.
+        label: Label,
+    },
     /// An underlying path error (propagated from path manipulation).
     Path(PathError),
 }
@@ -67,6 +75,9 @@ impl fmt::Display for MplsError {
             } => write!(f, "FEC chain for {router} starts at {chain_start} instead"),
             MplsError::NoSuchIlmEntry { router, label } => {
                 write!(f, "router {router} has no ILM entry for {label}")
+            }
+            MplsError::UnallocatedLabel { router, label } => {
+                write!(f, "router {router} never allocated {label}")
             }
             MplsError::Path(e) => write!(f, "path error: {e}"),
         }

@@ -17,7 +17,9 @@ impl Label {
         Label(value)
     }
 
-    /// The raw 20-bit-style label value (we allow the full `u32` range).
+    /// The raw label value. Any `u32` makes a `Label`, but a router's ILM
+    /// accepts only the labels it allocated: densely from 16 upward, below
+    /// its next label (see [`Router`](crate::Router)).
     #[inline]
     pub fn value(self) -> u32 {
         self.0

@@ -175,7 +175,7 @@ impl MplsNetwork {
                 }
                 None => IlmOp::PopAndContinue,
             };
-            self.router_mut(r).install_ilm(label, IlmEntry { op });
+            self.router_mut(r).install_ilm(label, IlmEntry { op })?;
             self.bump_ilm_writes(1);
         }
         self.bump_messages(2 * tree_links);

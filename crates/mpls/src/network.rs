@@ -1,9 +1,10 @@
 //! The MPLS domain: routers over a graph, LSP lifecycle, and the data plane.
 
 use crate::merged::SinkTreeRecord;
+use crate::packet::InFlight;
 use crate::{
-    FecEntry, ForwardError, ForwardTrace, IlmEntry, IlmOp, Label, LabelStack, LspId, MplsError,
-    Router, SignalingStats,
+    FecEntry, ForwardError, ForwardTrace, IlmEntry, IlmOp, Label, LspId, MplsError, Router,
+    SignalingStats,
 };
 use rbpc_graph::{FailureSet, Graph, NodeId, Path, PathError};
 use rbpc_obs::{obs_count, obs_event, obs_record, obs_trace, obs_trace_attr};
@@ -15,6 +16,11 @@ pub struct LspRecord {
     /// Incoming label at each node of `path`; `None` at the egress when
     /// penultimate-hop popping is used.
     labels: Vec<Option<Label>>,
+    // The path's ends and the ingress label, kept in the record itself:
+    // validating and writing a FEC chain reads nothing else.
+    ingress: NodeId,
+    egress: NodeId,
+    entry: Label,
     php: bool,
     active: bool,
 }
@@ -37,19 +43,19 @@ impl LspRecord {
 
     /// The ingress router.
     pub fn ingress(&self) -> NodeId {
-        self.path.source()
+        self.ingress
     }
 
     /// The egress router.
     pub fn egress(&self) -> NodeId {
-        self.path.target()
+        self.egress
     }
 
     /// The label under which this LSP is entered at its ingress. Pushing
     /// this label at the ingress sends a packet down the LSP — the
     /// concatenation primitive.
     pub fn entry_label(&self) -> Label {
-        self.labels[0].expect("invariant: ingress always holds a label")
+        self.entry
     }
 
     /// The incoming label of this LSP at `node`, if `node` is on the path
@@ -240,7 +246,7 @@ impl MplsNetwork {
                     next_label: labels[i + 1].expect("invariant: non-egress holds a label"),
                 }
             };
-            self.routers[node.index()].install_ilm(label, IlmEntry { op });
+            self.routers[node.index()].install_ilm(label, IlmEntry { op })?;
             self.stats.ilm_writes += 1;
             obs_count!("mpls.signaling.ilm_writes");
         }
@@ -251,6 +257,9 @@ impl MplsNetwork {
         let id = LspId::new(self.lsps.len());
         self.lsps.push(LspRecord {
             path: path.clone(),
+            ingress: path.source(),
+            egress: path.target(),
+            entry: labels[0].expect("invariant: the ingress always holds a label"),
             labels,
             php,
             active: true,
@@ -266,26 +275,29 @@ impl MplsNetwork {
     /// * [`MplsError::UnknownLsp`] for a stale id;
     /// * [`MplsError::LspInactive`] if already torn down.
     pub fn teardown_lsp(&mut self, id: LspId) -> Result<(), MplsError> {
-        let rec = self
-            .lsps
+        let MplsNetwork {
+            routers,
+            lsps,
+            stats,
+            ..
+        } = self;
+        let rec = lsps
             .get_mut(id.index())
             .ok_or(MplsError::UnknownLsp { lsp: id })?;
         if !rec.active {
             return Err(MplsError::LspInactive { lsp: id });
         }
         rec.active = false;
-        let nodes: Vec<NodeId> = rec.path.nodes().to_vec();
-        let labels = rec.labels.clone();
-        let hops = rec.path.hop_count() as u64;
-        for (node, label) in nodes.into_iter().zip(labels) {
-            if let Some(l) = label {
-                self.routers[node.index()].remove_ilm(l);
-                self.stats.ilm_writes += 1;
+        for (node, label) in rec.path.nodes().iter().zip(&rec.labels) {
+            if let Some(l) = *label {
+                routers[node.index()].remove_ilm(l);
+                stats.ilm_writes += 1;
                 obs_count!("mpls.signaling.ilm_writes");
             }
         }
-        self.stats.messages += hops;
-        self.stats.lsps_torn_down += 1;
+        let hops = rec.path.hop_count() as u64;
+        stats.messages += hops;
+        stats.lsps_torn_down += 1;
         obs_count!("mpls.signaling.messages", hops);
         obs_count!("mpls.signaling.lsps_torn_down");
         Ok(())
@@ -309,18 +321,68 @@ impl MplsNetwork {
         dest: NodeId,
         lsps: &[LspId],
     ) -> Result<(), MplsError> {
+        self.set_fec_via_chain(router, dest, lsps.iter().copied())
+    }
+
+    /// [`MplsNetwork::set_fec_via_lsps`] over any re-iterable chain of LSP
+    /// ids, for callers that resolve the chain as they go. The chain is
+    /// walked once to validate it and once to write its entry labels into
+    /// the existing FEC entry, so a rewrite allocates nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`MplsNetwork::set_fec_via_lsps`]; on error the FEC entry is
+    /// unchanged.
+    pub fn set_fec_via_chain<I>(
+        &mut self,
+        router: NodeId,
+        dest: NodeId,
+        chain: I,
+    ) -> Result<(), MplsError>
+    where
+        I: ExactSizeIterator<Item = LspId> + Clone,
+    {
         let mut trace = obs_trace!(
             "mpls.fec_rewrite",
             cat: "rewrite",
             router = router.index(),
             dest = dest.index(),
-            lsps = lsps.len(),
+            lsps = chain.len(),
         );
         self.router(router)?;
         self.router(dest)?;
-        let mut entry_labels = Vec::with_capacity(lsps.len());
+        let depth = chain.len();
+        if self.walk_chain(router, chain.clone())? != dest {
+            return Err(MplsError::BrokenChain { position: depth });
+        }
+        let MplsNetwork { routers, lsps, .. } = self;
+        let labels = routers[router.index()].fec_labels_mut(dest);
+        labels.clear();
+        labels.extend(chain.map(|id| lsps[id.index()].entry_label()));
+        // Bottom-first: the first LSP of the chain goes on top.
+        labels.reverse();
+        self.stats.fec_writes += 1;
+        obs_count!("mpls.signaling.fec_writes");
+        obs_trace_attr!(trace, stack_depth = depth);
+        obs_event!(
+            "fec_rewrite",
+            router = router.index(),
+            dest = dest.index(),
+            lsps = depth,
+            stack_depth = depth,
+        );
+        Ok(())
+    }
+
+    /// Checks that `chain` is a walk of active LSPs starting at `router`
+    /// (each starts where the previous one ends). Returns where it ends.
+    fn walk_chain(
+        &self,
+        router: NodeId,
+        chain: impl Iterator<Item = LspId>,
+    ) -> Result<NodeId, MplsError> {
         let mut at = router;
-        for (i, &id) in lsps.iter().enumerate() {
+        for (i, id) in chain.enumerate() {
             let rec = self.lsp(id)?;
             if !rec.is_active() {
                 return Err(MplsError::LspInactive { lsp: id });
@@ -334,34 +396,9 @@ impl MplsNetwork {
                 }
                 return Err(MplsError::BrokenChain { position: i });
             }
-            entry_labels.push(rec.entry_label());
             at = rec.egress();
         }
-        if at != dest {
-            return Err(MplsError::BrokenChain {
-                position: lsps.len(),
-            });
-        }
-        // Bottom-first: the first LSP of the chain goes on top.
-        entry_labels.reverse();
-        let depth = entry_labels.len();
-        self.routers[router.index()].install_fec(
-            dest,
-            FecEntry {
-                labels: entry_labels,
-            },
-        );
-        self.stats.fec_writes += 1;
-        obs_count!("mpls.signaling.fec_writes");
-        obs_trace_attr!(trace, stack_depth = depth);
-        obs_event!(
-            "fec_rewrite",
-            router = router.index(),
-            dest = dest.index(),
-            lsps = lsps.len(),
-            stack_depth = depth,
-        );
-        Ok(())
+        Ok(at)
     }
 
     /// Installs a raw FEC entry (bottom-first labels). For schemes that
@@ -407,9 +444,10 @@ impl MplsNetwork {
 
     /// Rewrites the ILM entry for `label` at `router` to splice packets
     /// onto the concatenation of LSPs named by `chain` — the **local RBPC**
-    /// action at the router adjacent to a failure. Every LSP in `chain`
-    /// must start at `router`… no: the first must start at `router`, and
-    /// consecutive LSPs must connect; the packet re-enters the ILM locally.
+    /// action at the router adjacent to a failure. The first LSP of `chain`
+    /// must start at `router` and each later one where the previous one
+    /// ends; the packet re-enters the ILM locally, rides the chain, and
+    /// then continues on `tail_labels` (bottom-first).
     ///
     /// Returns the previous entry so the caller can reverse the splice when
     /// the failure recovers.
@@ -417,7 +455,8 @@ impl MplsNetwork {
     /// # Errors
     ///
     /// * [`MplsError::NoSuchIlmEntry`] if `label` has no entry at `router`
-    ///   (splices only rewrite existing LSP state);
+    ///   (splices only rewrite existing LSP state), which includes a label
+    ///   the router never allocated;
     /// * chain-validation errors as in [`MplsNetwork::set_fec_via_lsps`],
     ///   except the chain may end anywhere (`tail_labels` continue the
     ///   original LSP).
@@ -436,41 +475,30 @@ impl MplsNetwork {
             chain = chain.len(),
         );
         self.router(router)?;
-        let mut entry_labels: Vec<Label> = tail_labels.to_vec();
-        let mut at = router;
-        let mut chain_entry_labels = Vec::with_capacity(chain.len());
-        for (i, &id) in chain.iter().enumerate() {
-            let rec = self.lsp(id)?;
-            if !rec.is_active() {
-                return Err(MplsError::LspInactive { lsp: id });
-            }
-            if rec.ingress() != at {
-                if i == 0 {
-                    return Err(MplsError::ChainStartsElsewhere {
-                        router,
-                        chain_start: rec.ingress(),
-                    });
-                }
-                return Err(MplsError::BrokenChain { position: i });
-            }
-            chain_entry_labels.push(rec.entry_label());
-            at = rec.egress();
+        self.walk_chain(router, chain.iter().copied())?;
+        if self.routers[router.index()].ilm(label).is_none() {
+            return Err(MplsError::NoSuchIlmEntry { router, label });
         }
-        chain_entry_labels.reverse();
-        entry_labels.extend(chain_entry_labels);
-        let old = self.routers[router.index()]
-            .ilm(label)
-            .cloned()
-            .ok_or(MplsError::NoSuchIlmEntry { router, label })?;
-        let depth = entry_labels.len();
-        self.routers[router.index()].install_ilm(
-            label,
-            IlmEntry {
-                op: IlmOp::ReplaceAndContinue {
-                    labels: entry_labels,
-                },
-            },
+        let mut entry_labels = Vec::with_capacity(tail_labels.len() + chain.len());
+        entry_labels.extend_from_slice(tail_labels);
+        // Bottom-first: the first LSP of the chain goes on top.
+        entry_labels.extend(
+            chain
+                .iter()
+                .rev()
+                .map(|id| self.lsps[id.index()].entry_label()),
         );
+        let depth = entry_labels.len();
+        let old = self.routers[router.index()]
+            .install_ilm(
+                label,
+                IlmEntry {
+                    op: IlmOp::ReplaceAndContinue {
+                        labels: entry_labels,
+                    },
+                },
+            )?
+            .expect("invariant: the entry was checked present above");
         self.stats.ilm_writes += 1;
         obs_count!("mpls.signaling.ilm_writes");
         obs_count!("mpls.ilm_splices");
@@ -490,7 +518,9 @@ impl MplsNetwork {
     ///
     /// # Errors
     ///
-    /// [`MplsError::UnknownRouter`] if `router` is out of range.
+    /// * [`MplsError::UnknownRouter`] if `router` is out of range;
+    /// * [`MplsError::UnallocatedLabel`] if `router` never allocated
+    ///   `label`.
     pub fn install_ilm_entry(
         &mut self,
         router: NodeId,
@@ -498,9 +528,10 @@ impl MplsNetwork {
         entry: IlmEntry,
     ) -> Result<Option<IlmEntry>, MplsError> {
         self.router(router)?;
+        let old = self.routers[router.index()].install_ilm(label, entry)?;
         self.stats.ilm_writes += 1;
         obs_count!("mpls.signaling.ilm_writes");
-        Ok(self.routers[router.index()].install_ilm(label, entry))
+        Ok(old)
     }
 
     /// Forwards a packet from `src` to `dest` using `src`'s FEC table, with
@@ -569,23 +600,22 @@ impl MplsNetwork {
         let fec = self.routers[src.index()]
             .fec(dest)
             .ok_or(ForwardError::NoFecEntry { router: src, dest })?;
-        let mut stack = LabelStack::from_bottom_first(fec.labels.clone());
+        let mut stack = InFlight::new(&fec.labels);
         let mut at = src;
         let ttl: u32 = 4 * self.graph.node_count() as u32 + 64;
         let mut ops = 0u32;
 
         loop {
-            if stack.is_empty() {
+            let Some(label) = stack.top() else {
                 if at == dest {
                     return Ok(trace);
                 }
                 return Err(ForwardError::StackUnderflow { router: at });
-            }
+            };
             ops += 1;
             if ops > ttl {
                 return Err(ForwardError::TtlExceeded { ttl });
             }
-            let label = stack.top().expect("invariant: nonempty stack has a top");
             let entry = self.routers[at.index()]
                 .ilm(label)
                 .ok_or(ForwardError::NoIlmEntry { router: at, label })?;
@@ -937,6 +967,41 @@ mod tests {
             net.ilm_splice(0.into(), Label::new(1), &[], &[]),
             Err(MplsError::NoSuchIlmEntry { .. })
         ));
+    }
+
+    #[test]
+    fn unallocated_labels_are_refused() {
+        let (mut net, e) = net();
+        let p = path(&net, 0, &[e[0], e[1]]);
+        let lsp = net.establish_lsp(&p).unwrap();
+        let entry = net
+            .router(1.into())
+            .unwrap()
+            .ilm(Label::new(16))
+            .unwrap()
+            .clone();
+        let before = (net.stats(), net.total_ilm_entries());
+        for bad in [Label::new(u32::MAX), Label::new(17), Label::new(3)] {
+            assert_eq!(
+                net.install_ilm_entry(1.into(), bad, entry.clone()),
+                Err(MplsError::UnallocatedLabel {
+                    router: 1.into(),
+                    label: bad
+                })
+            );
+            assert_eq!(
+                net.ilm_splice(1.into(), bad, &[], &[]),
+                Err(MplsError::NoSuchIlmEntry {
+                    router: 1.into(),
+                    label: bad
+                })
+            );
+            assert_eq!(net.router(1.into()).unwrap().ilm(bad), None);
+        }
+        assert_eq!((net.stats(), net.total_ilm_entries()), before);
+        // The LSP still forwards over the untouched tables.
+        net.set_fec_via_lsps(0.into(), 2.into(), &[lsp]).unwrap();
+        assert_eq!(net.forward(0.into(), 2.into()).unwrap().route(), p.nodes());
     }
 
     #[test]

@@ -64,6 +64,10 @@ rm -f /tmp/rbpc-loadtest-smoke.jsonl
 echo "== rbpc-eval replay (golden incident: plan hashes must reproduce)"
 cargo run -q -p rbpc-eval -- replay crates/eval/tests/golden/incident-smoke.jsonl
 
+echo "== examples isp_failover + local_vs_source (release: FEC rewrite, ILM splice and revert, each checked by forwarding)"
+cargo run -q --release --example isp_failover > /dev/null
+cargo run -q --release --example local_vs_source > /dev/null
+
 echo "== CSR / parallel determinism property test (release, 2-thread runs included)"
 cargo test --release --test csr_parallel -q
 

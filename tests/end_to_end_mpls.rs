@@ -232,3 +232,118 @@ fn unrestored_failures_black_hole() {
         other => panic!("expected DeadLink, got {other}"),
     }
 }
+
+/// FNV-1a over a stream of `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn words(&mut self, xs: impl IntoIterator<Item = u64>) {
+        let mut n = 0u64;
+        for x in xs {
+            self.word(x);
+            n += 1;
+        }
+        self.word(n);
+    }
+}
+
+/// Folds every LSP's label vector, every ILM table size and the signaling
+/// counters.
+fn fold_tables(h: &mut Fnv, dom: &ProvisionedDomain) {
+    let net = dom.net();
+    for (id, rec) in net.lsps() {
+        h.word(id.index() as u64);
+        h.words(
+            rec.path()
+                .nodes()
+                .iter()
+                .map(|&v| rec.label_at(v).map_or(u64::MAX, |l| u64::from(l.value()))),
+        );
+    }
+    h.words(net.ilm_sizes().into_iter().map(|s| s as u64));
+    let s = net.stats();
+    h.words([
+        s.messages,
+        s.ilm_writes,
+        s.fec_writes,
+        s.lsps_established,
+        s.lsps_torn_down,
+    ]);
+}
+
+/// Folds `s`'s FEC stack for `t` and the route a packet takes under
+/// `failures`.
+fn fold_probe(h: &mut Fnv, dom: &ProvisionedDomain, s: NodeId, t: NodeId, failures: &FailureSet) {
+    let fec = dom.net().router(s).unwrap().fec(t).unwrap();
+    h.words(fec.labels.iter().map(|l| u64::from(l.value())));
+    let trace = dom.forward(s, t, failures).unwrap();
+    h.words(trace.route().iter().map(|v| v.index() as u64));
+}
+
+/// The data plane, bit for bit: all-pairs provisioning on the paper-sized
+/// ISP map, then every restoration and revert of one fixed multi-link
+/// event. Label values, table sizes, signaling counts, FEC stacks and
+/// forwarded routes all feed one digest, so any change to how labels are
+/// allocated, stored or pushed shows here.
+#[test]
+fn data_plane_digest_is_pinned() {
+    let g = isp_topology(IspParams::default(), 1).graph;
+    let oracle = DenseBasePaths::build(g.clone(), CostModel::new(Metric::Weighted, 1));
+    let restorer = Restorer::new(&oracle);
+    let mut dom = ProvisionedDomain::new(&oracle);
+    dom.provision_all_pairs(&oracle).unwrap();
+    let mut h = Fnv::new();
+    fold_tables(&mut h, &dom);
+
+    let mut failures = FailureSet::new();
+    for e in [0usize, 7, 40, 101, 163] {
+        failures.fail_edge(mpls_rbpc::graph::EdgeId::new(e));
+    }
+    let mut rewritten = Vec::new();
+    for s in g.nodes() {
+        for t in g.nodes() {
+            let Some(base) = oracle.base_path(s, t) else {
+                continue;
+            };
+            if !base.edges().iter().any(|&e| failures.edge_failed(e)) {
+                continue;
+            }
+            match restorer.restore(s, t, &failures) {
+                Ok(r) => {
+                    dom.apply_source_restoration(&r).unwrap();
+                    fold_probe(&mut h, &dom, s, t, &failures);
+                    rewritten.push((s, t));
+                }
+                Err(_) => h.word(u64::MAX),
+            }
+        }
+    }
+    assert!(
+        rewritten.len() > 100,
+        "event broke {} LSPs",
+        rewritten.len()
+    );
+    let none = FailureSet::new();
+    for &(s, t) in &rewritten {
+        let lsp = dom.lsp_for_pair(s, t).unwrap();
+        dom.net_mut().set_fec_via_lsps(s, t, &[lsp]).unwrap();
+        fold_probe(&mut h, &dom, s, t, &none);
+    }
+    fold_tables(&mut h, &dom);
+    assert_eq!(
+        (h.0, dom.net().total_ilm_entries(), rewritten.len()),
+        (0xaddb_04ae_b5b2_80e3, 189_144, 2_618),
+        "data-plane digest moved"
+    );
+}
