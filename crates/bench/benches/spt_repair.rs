@@ -1,4 +1,5 @@
-//! Micro-bench: incremental SPT repair (`rbpc_graph::dynamic`) vs a full
+//! Micro-bench: incremental SPT repair (the scalar reference
+//! `rbpc_graph::repair_after_failures` and the CSR kernel) vs a full
 //! Dijkstra rebuild after a single edge failure.
 //!
 //! The failed edge is a tree edge whose detached subtree has the *median*
@@ -10,8 +11,8 @@
 //!   in the untimed batch setup, so this is the pure algorithmic cost the
 //!   bench gate holds ≥ 5× faster than `full_tree` on `powerlaw_5000`.
 //! * `clone_repair` — clone + repair in the timed routine with the
-//!   generic `Vec<Vec>` engine, which the base-path stores ran per
-//!   `with_spt_under` call before the CSR kernel.
+//!   scalar reference over the `Vec<Vec>` graph, which the base-path
+//!   stores ran per `with_spt_under` call before the CSR kernel.
 //! * `csr_repair` — the same failure through the CSR kernel
 //!   ([`CsrGraph::repair_tree`]: clone + repair over precomputed weights
 //!   and a failure bitmask), the full-tree path the stores run now; the
@@ -29,8 +30,8 @@
 use rbpc_bench::{criterion_group, criterion_main, BatchSize, Criterion};
 use rbpc_core::{BasePathOracle, BasePaths};
 use rbpc_graph::{
-    repair_after_failure, shortest_path_tree, CostModel, CsrGraph, EdgeId, FailureMask, FailureSet,
-    Metric, NodeId, ShortestPathTree,
+    repair_after_failures, shortest_path_tree, CostModel, CsrGraph, EdgeId, FailureMask,
+    FailureSet, Metric, NodeId, ShortestPathTree,
 };
 use rbpc_topo::{gnm_connected, internet_like_scaled};
 use std::hint::black_box;
@@ -81,7 +82,7 @@ fn bench_spt_repair(c: &mut Criterion) {
             b.iter_batched(
                 || base.clone(),
                 |mut tree| {
-                    repair_after_failure(&mut tree, black_box(&view), &model, failed);
+                    repair_after_failures(&mut tree, black_box(&view), &model, &[failed]);
                     tree
                 },
                 BatchSize::LargeInput,
@@ -90,7 +91,7 @@ fn bench_spt_repair(c: &mut Criterion) {
         g.bench_function(format!("{name}/clone_repair"), |b| {
             b.iter(|| {
                 let mut tree = base.clone();
-                repair_after_failure(&mut tree, black_box(&view), &model, failed);
+                repair_after_failures(&mut tree, black_box(&view), &model, &[failed]);
                 tree
             })
         });

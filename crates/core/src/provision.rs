@@ -209,14 +209,7 @@ impl ProvisionedDomain {
                     },
                 )?,
                 SegmentKind::RawEdge => {
-                    let id = match self.segments.get(seg) {
-                        Some(id) => id,
-                        None => {
-                            let id = self.net.establish_lsp(&seg.path)?;
-                            self.segments.insert(seg, id);
-                            id
-                        }
-                    };
+                    let id = self.segment_lsp(seg)?;
                     self.net.lsp(id)?.entry_label()
                 }
             };

@@ -348,7 +348,7 @@ impl<'a, O: BasePathOracle + Sync> Restorer<'a, O> {
     /// [`Restorer::failover_plan`] on `threads` worker threads.
     ///
     /// Pairs are cut into chunks claimed through an atomic index (as in
-    /// [`rbpc_graph::par_all_sources`]); a chunk ends where a source's
+    /// [`rbpc_graph::par_all_sources_csr`]); a chunk ends where a source's
     /// run of pairs ends, so one worker restores all of a run's pairs and
     /// resumes one repair across them. Each worker restores its chunks
     /// independently and the chunk results are concatenated in input

@@ -7,7 +7,9 @@
 // The global registry only records when instrumentation is compiled in.
 #![cfg(feature = "obs")]
 
-use rbpc_core::{BasePathOracle, BasePathStore, DenseBasePaths, Restorer, ShardedBasePaths};
+use rbpc_core::{
+    BasePathOracle, BasePathStore, DenseBasePaths, ProvisionedDomain, Restorer, ShardedBasePaths,
+};
 use rbpc_graph::{CostModel, FailureSet, Metric, NodeId};
 use rbpc_obs::{Registry, Snapshot};
 use rbpc_topo::gnm_connected;
@@ -179,4 +181,42 @@ fn bounded_store_shard_counters_match_observed_behavior() {
     assert_eq!(hit_delta + miss_delta, 75);
     let stats = store.stats();
     assert_eq!((stats.hits, stats.misses), (hit_delta, miss_delta));
+}
+
+/// A merged domain establishes a one-hop LSP for each raw-edge segment it
+/// has no LSP for yet, and counts each one, as the per-pair domain does.
+/// The graph is the merged-restoration unit test's, where one of these
+/// restorations needs a raw edge.
+#[test]
+fn merged_restoration_counts_on_demand_lsps() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let oracle = DenseBasePaths::build(
+        gnm_connected(18, 40, 7, 8),
+        CostModel::new(Metric::Weighted, 8),
+    );
+    let mut dom = ProvisionedDomain::new(&oracle);
+    dom.provision_merged(&oracle).expect("provisioned");
+    let restorer = Restorer::new(&oracle);
+    let mut one_hop = 0;
+    for t in [5usize, 11, 17] {
+        let base = oracle.base_path(0.into(), t.into()).expect("connected");
+        for &failed in base.edges() {
+            let failures = FailureSet::of_edge(failed);
+            let Ok(r) = restorer.restore(0.into(), t.into(), &failures) else {
+                continue;
+            };
+            let (lsps, counted) = (
+                dom.net().lsps().count(),
+                counter("core.provision.on_demand_lsps"),
+            );
+            dom.apply_source_restoration_merged(&r).expect("applied");
+            let established = (dom.net().lsps().count() - lsps) as u64;
+            assert_eq!(
+                counter("core.provision.on_demand_lsps") - counted,
+                established
+            );
+            one_hop += established;
+        }
+    }
+    assert!(one_hop > 0, "no restoration needed a one-hop LSP");
 }

@@ -61,29 +61,6 @@ pub fn count_shortest_paths<T: Topology>(topo: &T, metric: Metric, source: NodeI
     counts
 }
 
-/// The maximum, over the given source nodes, of the number of distinct
-/// shortest paths from that source to any other node.
-///
-/// Passing all nodes gives the paper's "max number of distinct shortest
-/// paths between any two routers"; passing a sample approximates it the way
-/// the paper's sampled experiments do.
-pub fn max_shortest_path_multiplicity<T: Topology>(
-    topo: &T,
-    metric: Metric,
-    sources: impl IntoIterator<Item = NodeId>,
-) -> u64 {
-    let mut best = 0;
-    for s in sources {
-        let counts = count_shortest_paths(topo, metric, s);
-        for (i, &c) in counts.iter().enumerate() {
-            if i != s.index() {
-                best = best.max(c);
-            }
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,17 +143,5 @@ mod tests {
         let fnode = FailureSet::of_nodes([0usize]);
         let c3 = count_shortest_paths(&fnode.view(&g), Metric::Weighted, 0.into());
         assert_eq!(c3, vec![0, 0, 0]);
-    }
-
-    #[test]
-    fn multiplicity_over_sources() {
-        let mut g = Graph::new(4);
-        for (a, b) in [(0, 1), (1, 2), (3, 2), (0, 3)] {
-            g.add_edge(a, b, 1).unwrap();
-        }
-        let m = max_shortest_path_multiplicity(&g, Metric::Weighted, g.nodes());
-        assert_eq!(m, 2);
-        let m_single = max_shortest_path_multiplicity(&g, Metric::Weighted, [NodeId::new(1)]);
-        assert_eq!(m_single, 2); // 1 -> 3 has two 2-hop routes
     }
 }

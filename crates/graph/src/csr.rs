@@ -828,7 +828,7 @@ const EMPTY_REC: NodeRec = NodeRec {
 ///
 /// One scratch serves any number of runs over graphs up to its capacity
 /// (it grows on demand). Not `Sync`: use one per thread (see
-/// [`par_all_sources`](crate::par::par_all_sources)).
+/// [`par_all_sources_csr`](crate::par::par_all_sources_csr)).
 #[derive(Debug, Clone)]
 pub struct DijkstraScratch {
     /// Current run stamp, always even; steps by 2 per run.

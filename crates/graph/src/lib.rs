@@ -73,23 +73,19 @@ mod yen;
 
 pub use bfs::{bfs_distances, connected_components, is_connected, ComponentLabels};
 pub use cost::{splitmix64, CostModel, IdHasher, IdMap, Metric, PathCost};
-pub use counting::{count_shortest_paths, max_shortest_path_multiplicity};
+pub use counting::count_shortest_paths;
 pub use csr::{CsrGraph, DijkstraScratch, FailureMask, RepairWork, SptBatchScratch, TreeOwner};
 pub use cuts::{cut_elements, CutElements};
 pub use digraph::{ArcId, ArcRecord, DiGraph};
 pub use dijkstra::{distance, shortest_path, shortest_path_tree};
-pub use dynamic::{
-    repair_after_failure, repair_after_failures, repair_after_failures_with,
-    repair_after_recoveries, repair_after_recoveries_with, repair_after_recovery, DynamicSpt,
-    RepairScratch, RepairStats,
-};
+pub use dynamic::{repair_after_failures, RepairStats};
 pub use error::{GraphError, PathError};
 pub use graph::{DegreeStats, EdgeRecord, Graph, HalfEdge};
 pub use ids::{EdgeId, NodeId};
-pub use par::{par_all_sources, par_all_sources_csr, ParStats, PAR_SERIAL_CUTOFF};
+pub use par::{par_all_sources_csr, ParStats, PAR_SERIAL_CUTOFF};
 pub use path::Path;
 pub use rng::{DetRng, SampleRange};
-pub use spt::{FlatChildren, ShortestPathTree, TREE_BYTES_PER_NODE};
+pub use spt::{ShortestPathTree, TREE_BYTES_PER_NODE};
 pub use subgraph::{extract_subgraph, Subgraph};
 pub use unionfind::UnionFind;
 pub use view::{FailureSet, FailureView, Topology};

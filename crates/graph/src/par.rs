@@ -17,8 +17,8 @@
 //! (`result[i]` is the tree of `sources[i]`), so the merge is a no-op and
 //! the output order never depends on scheduling. The tree *contents* are
 //! scheduling-independent too: perturbed costs make every shortest path
-//! unique (see [`CostModel`]), so any thread computing the tree of source
-//! `s` produces bit-identical arrays. `par_all_sources` with 1, 2, or 64
+//! unique (see [`CostModel`](crate::CostModel)), so any thread computing the tree of source
+//! `s` produces bit-identical arrays. `par_all_sources_csr` with 1, 2, or 64
 //! threads returns byte-for-byte the same `Vec<ShortestPathTree>` as the
 //! sequential [`shortest_path_tree`](crate::shortest_path_tree) loop —
 //! enforced by `tests/csr_parallel.rs` at the repository root.
@@ -30,12 +30,12 @@
 //! thread), so the cost is one lock per chunk, not per tree.
 
 use crate::csr::{CsrGraph, FailureMask, SptBatchScratch};
-use crate::{CostModel, Graph, NodeId, ShortestPathTree};
+use crate::{NodeId, ShortestPathTree};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
 
-/// Per-thread accounting from a [`par_all_sources`] run, for obs counters
+/// Per-thread accounting from a [`par_all_sources_csr`] run, for obs counters
 /// at the call site (`rbpc-graph` itself carries no instrumentation).
 #[derive(Debug, Clone, Default)]
 pub struct ParStats {
@@ -113,7 +113,7 @@ impl ParStats {
 /// through mutexes costs tens of microseconds — more than a whole batch
 /// of Dijkstras on a small graph, which is why
 /// `par_provision/isp_200/threads_8` used to *lose* to `threads_1`. Below
-/// this threshold [`par_all_sources`] ignores the requested thread count
+/// this threshold [`par_all_sources_csr`] ignores the requested thread count
 /// and runs the single-thread path ([`ParStats::threads`] reports what
 /// was actually used). Results are bit-identical either way, so the
 /// cutoff is purely a scheduling decision.
@@ -125,38 +125,20 @@ fn chunk_size_for(len: usize, threads: usize) -> usize {
     len.div_ceil(threads.max(1) * 4).max(1)
 }
 
-/// Computes the shortest-path trees of `sources` over `graph` under
-/// `model` on `threads` worker threads.
+/// Computes the shortest-path trees of `sources` over `csr` on `threads`
+/// worker threads, with an optional failure mask applied to every tree.
 ///
-/// Builds a [`CsrGraph`] once and fans out; `result[i]` is the tree of
-/// `sources[i]`, bit-identical to
-/// [`shortest_path_tree`](crate::shortest_path_tree)`(graph, model,
-/// sources[i])` for every thread count. `threads == 0` is treated as 1;
-/// with 1 thread — requested, or forced by the [`PAR_SERIAL_CUTOFF`]
-/// on small graphs — the batch runs inline on the caller's thread.
+/// `result[i]` is the tree of `sources[i]`, bit-identical to
+/// [`shortest_path_tree`](crate::shortest_path_tree) from `sources[i]`
+/// over the graph the CSR was built from (under the mask's failures) for
+/// every thread count. `threads == 0` is treated as 1; with 1 thread —
+/// requested, or forced by the [`PAR_SERIAL_CUTOFF`] on small graphs —
+/// the batch runs inline on the caller's thread.
 ///
-/// # Panics
-///
-/// Panics if any source is out of range or the graph exceeds
-/// [`CostModel::MAX_NODES`] nodes.
-pub fn par_all_sources(
-    graph: &Graph,
-    model: &CostModel,
-    sources: &[NodeId],
-    threads: usize,
-) -> (Vec<ShortestPathTree>, ParStats) {
-    let csr = CsrGraph::new(graph, model);
-    par_all_sources_csr(&csr, None, sources, threads)
-}
-
-/// [`par_all_sources`] over a prebuilt [`CsrGraph`], with an optional
-/// failure mask applied to every tree.
-///
-/// Use this form to amortize the CSR build across batches, or to
-/// provision under a failure scenario. Every chunk runs through the
-/// batched decrease-key kernel ([`CsrGraph::full_tree_batch_with`]); the
-/// returned [`ParStats`] carry per-thread heap push/pop/decrease-key
-/// totals so callers can surface the kernel's traffic as metrics.
+/// Every chunk runs through the batched decrease-key kernel
+/// ([`CsrGraph::full_tree_batch_with`]); the returned [`ParStats`] carry
+/// per-thread heap push/pop/decrease-key totals so callers can surface
+/// the kernel's traffic as metrics.
 ///
 /// # Panics
 ///
@@ -250,7 +232,7 @@ pub fn par_all_sources_csr(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{shortest_path_tree, DetRng, FailureSet, Metric};
+    use crate::{shortest_path_tree, CostModel, DetRng, FailureSet, Graph, Metric};
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
         let mut g = Graph::new(n);
@@ -271,13 +253,14 @@ mod tests {
         // thread count must collapse to the inline path and still match.
         let g = random_graph(60, 150, 2);
         let model = CostModel::new(Metric::Weighted, 7);
+        let csr = CsrGraph::new(&g, &model);
         let sources: Vec<NodeId> = g.nodes().collect();
         let want: Vec<ShortestPathTree> = sources
             .iter()
             .map(|&s| shortest_path_tree(&g, &model, s))
             .collect();
         for threads in [1usize, 2, 3, 8] {
-            let (got, stats) = par_all_sources(&g, &model, &sources, threads);
+            let (got, stats) = par_all_sources_csr(&csr, None, &sources, threads);
             assert_eq!(got, want, "threads = {threads}");
             assert_eq!(stats.threads, 1, "below the cutoff the run is inline");
             assert_eq!(stats.total_chunks_claimed(), stats.chunks as u64);
@@ -297,8 +280,9 @@ mod tests {
     fn heap_stats_cover_every_thread() {
         let g = random_graph(PAR_SERIAL_CUTOFF, 3 * PAR_SERIAL_CUTOFF, 6);
         let model = CostModel::new(Metric::Weighted, 5);
+        let csr = CsrGraph::new(&g, &model);
         let sources: Vec<NodeId> = (0..24).map(|i| NodeId::new(i * 40)).collect();
-        let (_, stats) = par_all_sources(&g, &model, &sources, 2);
+        let (_, stats) = par_all_sources_csr(&csr, None, &sources, 2);
         assert_eq!(stats.heap_pushes.len(), stats.threads);
         assert_eq!(stats.heap_pops.len(), stats.threads);
         assert_eq!(stats.decrease_keys.len(), stats.threads);
@@ -309,6 +293,7 @@ mod tests {
     fn above_cutoff_spawns_requested_threads() {
         let g = random_graph(PAR_SERIAL_CUTOFF, 3 * PAR_SERIAL_CUTOFF, 4);
         let model = CostModel::new(Metric::Weighted, 11);
+        let csr = CsrGraph::new(&g, &model);
         // A subset of sources keeps the test quick; the cutoff keys on
         // node count, not batch length.
         let sources: Vec<NodeId> = (0..16).map(|i| NodeId::new(i * 60)).collect();
@@ -317,7 +302,7 @@ mod tests {
             .map(|&s| shortest_path_tree(&g, &model, s))
             .collect();
         for threads in [1usize, 2] {
-            let (got, stats) = par_all_sources(&g, &model, &sources, threads);
+            let (got, stats) = par_all_sources_csr(&csr, None, &sources, threads);
             assert_eq!(got, want, "threads = {threads}");
             assert_eq!(stats.threads, threads);
         }
@@ -349,11 +334,12 @@ mod tests {
     fn empty_and_subset_sources() {
         let g = random_graph(10, 20, 1);
         let model = CostModel::new(Metric::Weighted, 1);
-        let (trees, stats) = par_all_sources(&g, &model, &[], 4);
+        let csr = CsrGraph::new(&g, &model);
+        let (trees, stats) = par_all_sources_csr(&csr, None, &[], 4);
         assert!(trees.is_empty());
         assert_eq!(stats.chunks, 0);
         let subset = [NodeId::new(3), NodeId::new(7), NodeId::new(3)];
-        let (trees, _) = par_all_sources(&g, &model, &subset, 2);
+        let (trees, _) = par_all_sources_csr(&csr, None, &subset, 2);
         assert_eq!(trees.len(), 3);
         assert_eq!(trees[0], trees[2]);
         assert_eq!(trees[1].source(), NodeId::new(7));
@@ -363,9 +349,10 @@ mod tests {
     fn zero_threads_is_one() {
         let g = random_graph(12, 25, 9);
         let model = CostModel::new(Metric::Weighted, 3);
+        let csr = CsrGraph::new(&g, &model);
         let sources: Vec<NodeId> = g.nodes().collect();
-        let (a, stats) = par_all_sources(&g, &model, &sources, 0);
-        let (b, _) = par_all_sources(&g, &model, &sources, 1);
+        let (a, stats) = par_all_sources_csr(&csr, None, &sources, 0);
+        let (b, _) = par_all_sources_csr(&csr, None, &sources, 1);
         assert_eq!(a, b);
         assert_eq!(stats.threads, 1);
         assert_eq!(stats.total_scratch_reuses(), 11);

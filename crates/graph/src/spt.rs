@@ -90,8 +90,7 @@ impl ShortestPathTree {
     }
 
     /// Resets `v` to the unreachable sentinel state (crate-internal; used
-    /// by the [`dynamic`](crate::dynamic) repair engine to detach a
-    /// subtree before re-attaching it).
+    /// by the repairs to detach a subtree before re-attaching it).
     pub(crate) fn clear_node(&mut self, i: usize) {
         self.dist[i] = u128::MAX;
         self.parent_edge[i] = NO_EDGE;
@@ -186,22 +185,6 @@ impl ShortestPathTree {
         Some(Path::from_parts_unchecked(nodes, edges))
     }
 
-    /// Enumerates, for every node, its tree children. Useful for computing
-    /// which destinations route through a given edge.
-    ///
-    /// Allocates one `Vec` per node; batch callers should prefer the flat
-    /// [`children_flat`](Self::children_flat) form, which allocates twice
-    /// regardless of `n`.
-    pub fn children(&self) -> Vec<Vec<NodeId>> {
-        let mut out = vec![Vec::new(); self.dist.len()];
-        for i in 0..self.dist.len() {
-            if self.parent_node[i] != NO_NODE {
-                out[self.parent_node[i] as usize].push(NodeId::new(i));
-            }
-        }
-        out
-    }
-
     /// Fills `offsets`/`kids` with the CSR form of the children relation
     /// (counts → prefix sums → fill), reusing `cursor` as working memory.
     /// All three buffers are cleared first, so scratch reuse is safe.
@@ -236,31 +219,21 @@ impl ShortestPathTree {
         }
     }
 
-    /// The children relation in flat CSR form: two allocations total
-    /// (offsets + one id array) instead of the `Vec`-per-node layout of
-    /// [`children`](Self::children). Preferred for batch traversals such
-    /// as subtree walks and the [`dynamic`](crate::dynamic) repair engine.
-    pub fn children_flat(&self) -> FlatChildren {
-        let mut offsets = Vec::new();
-        let mut kids = Vec::new();
-        let mut cursor = Vec::new();
-        self.fill_children_csr(&mut offsets, &mut kids, &mut cursor);
-        FlatChildren { offsets, kids }
-    }
-
     /// All nodes whose tree path traverses the tree edge entering `below`
-    /// (i.e. the subtree rooted at `below`). Linear in subtree size after a
-    /// `children_flat()` precomputation, or linear in `n` standalone.
+    /// (i.e. the subtree rooted at `below`). Linear in `n`: the children
+    /// relation is filled once, then the subtree is walked.
     pub fn subtree(&self, below: NodeId) -> Vec<NodeId> {
         if !self.reachable(below) {
             return Vec::new();
         }
-        let children = self.children_flat();
-        let mut stack = vec![below];
+        let (mut offsets, mut kids, mut cursor) = (Vec::new(), Vec::new(), Vec::new());
+        self.fill_children_csr(&mut offsets, &mut kids, &mut cursor);
+        let mut stack = vec![below.index() as u32];
         let mut out = Vec::new();
         while let Some(v) = stack.pop() {
-            out.push(v);
-            stack.extend(children.of(v));
+            let vi = v as usize;
+            out.push(NodeId::new(vi));
+            stack.extend_from_slice(&kids[offsets[vi] as usize..offsets[vi + 1] as usize]);
         }
         out
     }
@@ -353,58 +326,6 @@ impl ShortestPathTree {
     }
 }
 
-/// The children relation of a [`ShortestPathTree`] in compressed-sparse-row
-/// form: `offsets[v] .. offsets[v + 1]` indexes the children of node `v` in
-/// one flat id array. Produced by
-/// [`ShortestPathTree::children_flat`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatChildren {
-    offsets: Vec<u32>,
-    kids: Vec<u32>,
-}
-
-impl FlatChildren {
-    /// The tree children of `v`, as a borrowed slice of raw node indices
-    /// converted on iteration; see [`FlatChildren::of`] for typed access.
-    #[inline]
-    fn raw_of(&self, v: NodeId) -> &[u32] {
-        let i = v.index();
-        &self.kids[self.offsets[i] as usize..self.offsets[i + 1] as usize]
-    }
-
-    /// The tree children of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn of(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.raw_of(v).iter().map(|&i| NodeId::new(i as usize))
-    }
-
-    /// Number of children of `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    #[inline]
-    pub fn count_of(&self, v: NodeId) -> usize {
-        self.raw_of(v).len()
-    }
-
-    /// Number of nodes the relation covers.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// Total number of parent→child tree edges.
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.kids.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,12 +395,9 @@ mod tests {
     }
 
     #[test]
-    fn children_and_subtree() {
+    fn subtree_below_a_node() {
         let g = line(4);
         let t = spt(&g, 0);
-        let kids = t.children();
-        assert_eq!(kids[0], vec![NodeId::new(1)]);
-        assert_eq!(kids[3], Vec::<NodeId>::new());
         let mut sub = t.subtree(1.into());
         sub.sort();
         assert_eq!(sub, vec![NodeId::new(1), NodeId::new(2), NodeId::new(3)]);
@@ -487,26 +405,6 @@ mod tests {
         let iso = g2.add_node();
         let t2 = spt(&g2, 0);
         assert!(t2.subtree(iso).is_empty());
-    }
-
-    #[test]
-    fn children_flat_matches_children() {
-        let mut g = Graph::new(6);
-        g.add_edge(0, 1, 1).unwrap();
-        g.add_edge(0, 2, 1).unwrap();
-        g.add_edge(1, 3, 1).unwrap();
-        g.add_edge(1, 4, 1).unwrap();
-        let _iso = g.add_node(); // node 6: isolated
-        let t = spt(&g, 0);
-        let nested = t.children();
-        let flat = t.children_flat();
-        assert_eq!(flat.node_count(), g.node_count());
-        assert_eq!(flat.total(), nested.iter().map(Vec::len).sum::<usize>());
-        for v in g.nodes() {
-            let got: Vec<NodeId> = flat.of(v).collect();
-            assert_eq!(got, nested[v.index()], "children of {v}");
-            assert_eq!(flat.count_of(v), nested[v.index()].len());
-        }
     }
 
     #[test]

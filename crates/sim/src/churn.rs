@@ -16,7 +16,9 @@
 //! `BasePathOracle::path_under` / `with_spt_under`, which repair the
 //! source's stored shortest-path tree on the CSR core instead of
 //! re-running Dijkstra (see [`rbpc_graph::CsrGraph::repair_path`]; the
-//! generic [`rbpc_graph::repair_after_failures`] is its reference).
+//! scalar [`rbpc_graph::repair_after_failures`] is its test reference).
+//! A recovery repairs no tree: the routes it lets revert go back to their
+//! base LSPs.
 
 use crate::{outage_under, LatencyModel, Scheme};
 use rbpc_core::BasePathOracle;

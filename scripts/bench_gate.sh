@@ -50,14 +50,15 @@ if [[ ! -f "$BASELINE" ]]; then
     exit 2
 fi
 
-# The headline claim of the dynamic-SPT engine: a single-edge repair on
-# the 5000-node power-law graph beats a full rebuild by at least 5x.
+# The headline claim of incremental repair: the scalar reference's
+# (`repair_after_failures`) single-edge repair on the 5000-node
+# power-law graph beats a full rebuild by at least 5x.
 # bench-gate skips the rule (with a note) when spt_repair wasn't run.
 SPT_SPEEDUP="spt_repair/powerlaw_5000/repair_single_edge,spt_repair/powerlaw_5000/full_tree,5.0"
 
 # The CSR repair kernel's claim: the full-tree repair the base-path
 # stores run (clone + repair over precomputed weights and a failure
-# bitmask) beats the generic engine's clone + repair of the same
+# bitmask) beats the scalar reference's clone + repair of the same
 # median-subtree failure by at least 1.5x on the 5000-node power-law graph.
 CSR_REPAIR_SPEEDUP="spt_repair/powerlaw_5000/csr_repair,spt_repair/powerlaw_5000/clone_repair,1.5"
 

@@ -71,7 +71,7 @@ cargo run -q --release --example local_vs_source > /dev/null
 echo "== CSR / parallel determinism property test (release, 2-thread runs included)"
 cargo test --release --test csr_parallel -q
 
-echo "== SPT repair property test (release: CSR repair kernel == generic engine == rebuild)"
+echo "== SPT repair property test (release: CSR repair kernel == scalar reference == rebuild, after every churn and flap step)"
 cargo test --release --test spt_repair -q
 
 echo "== prefix probe property test (release: early-exit probe == full-tree walk; bounded decomposition == all-resident)"

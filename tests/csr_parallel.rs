@@ -1,10 +1,9 @@
 //! Determinism property test for the CSR core and the parallel
 //! provisioning engine: on every suite topology family, the trees produced
-//! by [`CsrGraph`] + scratch Dijkstra and by [`par_all_sources`] at thread
-//! counts {1, 2, 8} must be **bit-identical** to the sequential
+//! by [`CsrGraph`] + scratch Dijkstra and by [`par_all_sources_csr`] at
+//! thread counts {1, 2, 8} must be **bit-identical** to the sequential
 //! [`shortest_path_tree`] over the `Vec<Vec>` adjacency — same perturbed
-//! distances, same parents, same hop counts — with and without random
-//! failure sets. Every CSR graph and tree built here must also pass the
+//! distances, same parents — with and without random failure sets. Every CSR graph and tree built here must also pass the
 //! structural validators ([`CsrGraph::validate`] /
 //! [`CsrGraph::validate_tree`]), so the invariant layer is exercised in
 //! release builds where `debug_assert!` compiles out. Uses the in-tree
@@ -18,8 +17,8 @@
 //! cutoff and carries the genuinely-parallel coverage.
 
 use mpls_rbpc::graph::{
-    par_all_sources, par_all_sources_csr, shortest_path_tree, CostModel, CsrGraph, DetRng,
-    DijkstraScratch, FailureMask, FailureSet, Graph, Metric, NodeId,
+    par_all_sources_csr, shortest_path_tree, CostModel, CsrGraph, DetRng, DijkstraScratch,
+    FailureMask, FailureSet, Graph, Metric, NodeId,
 };
 use mpls_rbpc::topo::{
     gnm_connected, internet_like_scaled, isp_topology, waxman, IspParams, WaxmanParams,
@@ -49,7 +48,7 @@ fn random_failures(graph: &Graph, rng: &mut DetRng, fail_node: bool) -> FailureS
 }
 
 /// The core property: sequential `shortest_path_tree`, CSR scratch
-/// Dijkstra, and `par_all_sources` at every thread count all agree
+/// Dijkstra, and `par_all_sources_csr` at every thread count all agree
 /// exactly, healthy and under failures.
 fn assert_family_deterministic(name: &str, graph: &Graph, metric: Metric, seed: u64) {
     let model = CostModel::new(metric, seed);
@@ -82,7 +81,7 @@ fn assert_family_deterministic(name: &str, graph: &Graph, metric: Metric, seed: 
         );
     }
     for threads in THREADS {
-        let (trees, _) = par_all_sources(graph, &model, &sources, threads);
+        let (trees, _) = par_all_sources_csr(&csr, None, &sources, threads);
         assert_eq!(
             trees, want,
             "{name}: parallel batch diverged at {threads} threads, seed {seed}"

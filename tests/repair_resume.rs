@@ -34,10 +34,9 @@ fn failure_sets(graph: &Graph, base: &ShortestPathTree, rng: &mut DetRng) -> Vec
             return e;
         }
     };
-    let children = base.children_flat();
     let transit: Vec<NodeId> = graph
         .nodes()
-        .filter(|&v| v != base.source() && children.count_of(v) > 0)
+        .filter(|&v| v != base.source() && graph.nodes().any(|c| base.parent_node(c) == Some(v)))
         .collect();
     let mut sets = Vec::new();
     for k in 1..=3 {

@@ -1,38 +1,64 @@
-//! Property test for the dynamic-SPT engine: across random failure /
-//! recovery sequences on every suite topology family, the incrementally
-//! repaired tree must stay **bit-identical** to a full Dijkstra rebuild
-//! over the failed view — same perturbed distances, same parents, same hop
-//! counts. The CSR repair kernel every restoration runs
-//! ([`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`]) is held to the
-//! same standard against that engine. Uses the in-tree [`DetRng`], so it
-//! runs in offline builds (unlike the proptest-gated suites).
+//! Property test for post-failure tree repair: across random failure /
+//! recovery sequences on every suite topology family, the CSR repair
+//! kernel every restoration runs ([`CsrGraph::repair_tree`] /
+//! [`CsrGraph::repair_path`]) must produce a tree **bit-identical** to a
+//! full Dijkstra rebuild over the failed view — same perturbed distances,
+//! same parents — and identical to the scalar reference
+//! [`repair_after_failures`]. The kernel's settle loop never leaves a
+//! node closer than before the failure (deletions only lengthen paths);
+//! every repaired tree here is checked for that in release mode. Uses the
+//! in-tree [`DetRng`], so it runs in offline builds (unlike the
+//! proptest-gated suites).
 
 use mpls_rbpc::graph::{
-    repair_after_failures, shortest_path_tree, CostModel, CsrGraph, DetRng, DynamicSpt, EdgeId,
-    FailureMask, FailureSet, Graph, Metric, NodeId, ShortestPathTree,
+    repair_after_failures, shortest_path_tree, CostModel, CsrGraph, DetRng, EdgeId, FailureMask,
+    FailureSet, Graph, Metric, NodeId, RepairWork, ShortestPathTree,
 };
 use mpls_rbpc::sim::{churn_sequence, ChurnEvent};
 use mpls_rbpc::topo::{gnm_connected, internet_like_scaled, isp_topology, IspParams};
 
-/// Replays `events` through a [`DynamicSpt`] rooted at `source`, asserting
-/// after every single event that the repaired tree equals a from-scratch
-/// rebuild over the current failure view.
+/// Repairs `base` on the CSR kernel under `failures`, asserts the result
+/// equals a rebuild over the failed view and is nowhere shorter than
+/// `base`, and returns it. Recoveries need no repair of their own: the
+/// failure set after a recovery is repaired from the unfailed base like
+/// any other.
+fn repair_equals_rebuild(
+    case: &str,
+    graph: &Graph,
+    csr: &CsrGraph,
+    model: &CostModel,
+    base: &ShortestPathTree,
+    failures: &FailureSet,
+) -> (ShortestPathTree, RepairWork) {
+    let (tree, work) = csr.repair_tree(base, &FailureMask::from_set(csr, failures));
+    let want = shortest_path_tree(&failures.view(graph), model, base.source());
+    assert_eq!(tree, want, "{case}: repaired tree diverged from rebuild");
+    let never_shorter = graph.nodes().all(|v| {
+        tree.perturbed_dist(v).unwrap_or(u128::MAX) >= base.perturbed_dist(v).unwrap_or(u128::MAX)
+    });
+    assert!(never_shorter, "{case}: a failure shortened a path");
+    (tree, work)
+}
+
+/// Replays `events` into a failure set and, after every single event,
+/// repairs the unfailed tree of `source` under the current set.
 fn assert_repair_tracks_rebuild(name: &str, graph: &Graph, seed: u64, source: usize) {
     let model = CostModel::new(Metric::Weighted, seed);
+    let csr = CsrGraph::new(graph, &model);
+    let base = shortest_path_tree(graph, &model, NodeId::new(source));
     let events = churn_sequence(graph, 40, 4, seed);
-    let mut spt = DynamicSpt::new(graph, &model, NodeId::new(source));
+    let mut failures = FailureSet::new();
     for (i, ev) in events.iter().enumerate() {
         match *ev {
-            ChurnEvent::Fail(e) => spt.fail_edge(e),
-            ChurnEvent::Recover(e) => spt.recover_edge(e),
-        };
-        let want = shortest_path_tree(&spt.failures().view(graph), &model, NodeId::new(source));
-        assert_eq!(
-            spt.tree(),
-            &want,
-            "{name}: repaired tree diverged from rebuild after event {i} ({ev:?}), \
-             seed {seed}, source {source}"
-        );
+            ChurnEvent::Fail(e) => {
+                failures.fail_edge(e);
+            }
+            ChurnEvent::Recover(e) => {
+                failures.restore_edge(e);
+            }
+        }
+        let case = format!("{name}: event {i} ({ev:?}), seed {seed}, source {source}");
+        repair_equals_rebuild(&case, graph, &csr, &model, &base, &failures);
     }
 }
 
@@ -67,6 +93,7 @@ fn repair_equals_rebuild_on_power_law() {
 fn repeated_flaps_of_tree_edges_stay_exact() {
     let graph = isp_topology(IspParams::default(), 21).graph;
     let model = CostModel::new(Metric::Weighted, 21);
+    let csr = CsrGraph::new(&graph, &model);
     let source = NodeId::new(0);
     let base = shortest_path_tree(&graph, &model, source);
     // Flap edges that are actually on the tree — the interesting case.
@@ -74,16 +101,16 @@ fn repeated_flaps_of_tree_edges_stay_exact() {
         .filter_map(|i| base.parent_edge(NodeId::new(i)))
         .collect();
     let mut rng = DetRng::seed_from_u64(99);
-    let mut spt = DynamicSpt::new(&graph, &model, source);
+    let mut failures = FailureSet::new();
     for step in 0..120 {
         let e = tree_edges[rng.gen_range(0..tree_edges.len())];
-        if spt.failures().edge_failed(e) {
-            spt.recover_edge(e);
+        if failures.edge_failed(e) {
+            failures.restore_edge(e);
         } else {
-            spt.fail_edge(e);
+            failures.fail_edge(e);
         }
-        let want = shortest_path_tree(&spt.failures().view(&graph), &model, source);
-        assert_eq!(spt.tree(), &want, "flap step {step} on edge {e:?}");
+        let case = format!("flap step {step} on edge {e:?}");
+        repair_equals_rebuild(&case, &graph, &csr, &model, &base, &failures);
     }
 }
 
@@ -108,10 +135,9 @@ fn failure_sets(graph: &Graph, base: &ShortestPathTree, rng: &mut DetRng) -> Vec
             sets.push(set);
         }
     }
-    let children = base.children_flat();
     let transit: Vec<NodeId> = graph
         .nodes()
-        .filter(|&v| v != base.source() && children.count_of(v) > 0)
+        .filter(|&v| v != base.source() && graph.nodes().any(|c| base.parent_node(c) == Some(v)))
         .collect();
     for _ in 0..3 {
         let mut set = FailureSet::new();
@@ -121,7 +147,7 @@ fn failure_sets(graph: &Graph, base: &ShortestPathTree, rng: &mut DetRng) -> Vec
     sets
 }
 
-/// Holds the CSR repair kernel to the generic engine and a rebuild from
+/// Holds the CSR repair kernel to the scalar reference and a rebuild from
 /// each of `sources`: the untargeted tree equals both, the region sizes
 /// agree, and for every target in the detached region the targeted
 /// path equals `path_to` on that tree (`None` when the target is cut
@@ -143,27 +169,16 @@ fn assert_csr_repair_matches(name: &str, graph: &Graph, seed: u64, sources: &[us
             let mut reference = base.clone();
             let stats = repair_after_failures(&mut reference, &view, &model, &links);
 
-            let mask = FailureMask::from_set(&csr, &set);
-            let (tree, work) = csr.repair_tree(&base, &mask);
+            let (tree, work) = repair_equals_rebuild(&case, graph, &csr, &model, &base, &set);
             assert_eq!(
                 tree, reference,
-                "{case}: CSR tree differs from the engine's"
-            );
-            assert_eq!(
-                tree,
-                shortest_path_tree(&view, &model, s),
-                "{case}: rebuild"
+                "{case}: CSR tree differs from the reference's"
             );
             assert_eq!(
                 work.nodes_touched, stats.nodes_touched,
                 "{case}: region size"
             );
             assert!(work.settled <= work.nodes_touched, "{case}");
-            let never_shorter = graph.nodes().all(|v| {
-                tree.perturbed_dist(v).unwrap_or(u128::MAX)
-                    >= base.perturbed_dist(v).unwrap_or(u128::MAX)
-            });
-            assert!(never_shorter, "{case}: a failure shortened a path");
 
             let detached = graph.nodes().filter(|&t| {
                 base.path_to(t).is_some_and(|p| {
@@ -171,6 +186,7 @@ fn assert_csr_repair_matches(name: &str, graph: &Graph, seed: u64, sources: &[us
                         || p.nodes().iter().any(|&v| set.node_failed(v))
                 })
             });
+            let mask = FailureMask::from_set(&csr, &set);
             for t in detached {
                 let (path, w) = csr.repair_path(&base, &mask, t);
                 assert_eq!(path, tree.path_to(t), "{case}: path to {t}");
