@@ -40,7 +40,7 @@ fn bench_provisioning(c: &mut Criterion) {
                     continue;
                 }
                 if let Some(p) = oracle.base_path(NodeId::new(s), NodeId::new(t)) {
-                    php.net_mut().establish_lsp_php(&p).unwrap();
+                    php.net_mut().establish_lsp_php(p).unwrap();
                 }
             }
         }

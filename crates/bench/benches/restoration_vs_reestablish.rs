@@ -88,7 +88,7 @@ fn bench_restoration(c: &mut Criterion) {
                     dom.net_mut().teardown_lsp(id).unwrap();
                     let new = dom
                         .net_mut()
-                        .establish_lsp(&update.restoration.backup)
+                        .establish_lsp(update.restoration.backup.clone())
                         .unwrap();
                     dom.net_mut()
                         .set_fec_via_lsps(update.source, update.dest, &[new])

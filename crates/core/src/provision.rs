@@ -33,6 +33,8 @@ pub struct ProvisionedDomain {
     net: MplsNetwork,
     segments: SegmentLsps,
     sink_by_dest: IdMap<NodeId, SinkTreeId>,
+    /// Label buffer reused by every merged FEC rewrite.
+    merged_labels: Vec<Label>,
 }
 
 /// The LSP that carries each kind of concatenation segment.
@@ -77,6 +79,7 @@ impl ProvisionedDomain {
             net: MplsNetwork::new(oracle.graph().clone()),
             segments: SegmentLsps::default(),
             sink_by_dest: IdMap::default(),
+            merged_labels: Vec::new(),
         }
     }
 
@@ -117,7 +120,7 @@ impl ProvisionedDomain {
         let Some(path) = oracle.base_path(s, t) else {
             return Ok(None);
         };
-        let id = self.net.establish_lsp(&path)?;
+        let id = self.net.establish_lsp(path)?;
         obs_count!("core.provision.pair_lsps");
         self.segments.by_pair.insert((s, t), id);
         self.net.set_fec_via_lsps(s, t, &[id])?;
@@ -168,13 +171,12 @@ impl ProvisionedDomain {
             let id = self.net.establish_sink_tree(dest, next_hop)?;
             obs_count!("core.provision.sink_trees");
             self.sink_by_dest.insert(dest, id);
-            let tree = self.net.sink_tree(id)?.clone();
             for s in 0..n {
                 if s == t {
                     continue;
                 }
-                if let Some(label) = tree.label_at(NodeId::new(s)) {
-                    self.net.set_fec_raw(NodeId::new(s), dest, vec![label])?;
+                if let Some(label) = self.net.sink_tree(id)?.label_at(NodeId::new(s)) {
+                    self.net.set_fec_raw(NodeId::new(s), dest, [label])?;
                 }
             }
         }
@@ -200,7 +202,9 @@ impl ProvisionedDomain {
     pub fn apply_source_restoration_merged(&mut self, r: &Restoration) -> Result<(), MplsError> {
         let _span = obs_span!("core.apply.source_merged.ns");
         obs_count!("core.apply.source_merged");
-        let mut labels = Vec::with_capacity(r.concatenation.len());
+        // The stack is resolved into the domain's reused label buffer, so
+        // a rewrite allocates nothing once it has held a stack that deep.
+        self.merged_labels.clear();
         for seg in r.concatenation.segments() {
             let label = match seg.kind {
                 SegmentKind::BasePath => self.merged_label(seg.source(), seg.target()).ok_or(
@@ -213,9 +217,10 @@ impl ProvisionedDomain {
                     self.net.lsp(id)?.entry_label()
                 }
             };
-            labels.push(label);
+            self.merged_labels.push(label);
         }
-        labels.reverse(); // bottom-first: first segment on top
+        // Bottom-first: the first segment goes on top.
+        let labels = self.merged_labels.iter().rev().copied();
         self.net.set_fec_raw(r.source, r.target, labels)
     }
 
@@ -241,7 +246,7 @@ impl ProvisionedDomain {
         if let Some(id) = self.segments.get(seg) {
             return Ok(id);
         }
-        let id = self.net.establish_lsp(&seg.path)?;
+        let id = self.net.establish_lsp(seg.path.clone())?;
         obs_count!("core.provision.on_demand_lsps");
         self.segments.insert(seg, id);
         Ok(id)

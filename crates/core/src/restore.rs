@@ -3,7 +3,7 @@
 
 use crate::decompose::path_survives;
 use crate::{greedy_decompose, BasePathOracle, Concatenation, RestoreError, SegmentKind};
-use rbpc_graph::{EdgeId, FailureSet, NodeId, Path, PathCost};
+use rbpc_graph::{par, EdgeId, FailureSet, NodeId, Path, PathCost};
 use rbpc_obs::{
     obs_count, obs_event, obs_flight, obs_flight_now, obs_record, obs_span, obs_trace,
     obs_trace_attr, FlightKind, FlightRecord,
@@ -322,10 +322,6 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
     }
 }
 
-/// One chunk's share of a parallel failover plan: the chunk index (for
-/// the input-order merge), its FEC updates, and its unrestorable pairs.
-type PlanPart = (usize, Vec<FecUpdate>, Vec<(NodeId, NodeId)>);
-
 /// Cuts `pairs` into consecutive chunks of at least `size` pairs (the
 /// last may be shorter), each extended to the end of its last source's
 /// run of pairs, so no run of one source's pairs straddles two chunks.
@@ -347,67 +343,38 @@ fn source_chunks(pairs: &[(NodeId, NodeId)], size: usize) -> Vec<&[(NodeId, Node
 impl<'a, O: BasePathOracle + Sync> Restorer<'a, O> {
     /// [`Restorer::failover_plan`] on `threads` worker threads.
     ///
-    /// Pairs are cut into chunks claimed through an atomic index (as in
-    /// [`rbpc_graph::par_all_sources_csr`]); a chunk ends where a source's
-    /// run of pairs ends, so one worker restores all of a run's pairs and
-    /// resumes one repair across them. Each worker restores its chunks
-    /// independently and the chunk results are concatenated in input
-    /// order, so the plan — updates, unrestorable list, and their order —
-    /// is identical to the sequential builder for every thread count.
+    /// Pairs are cut into chunks for the shared work pool
+    /// ([`rbpc_graph::par::map_chunks_with`]); a chunk ends where a
+    /// source's run of pairs ends, and the pool runs each chunk whole on
+    /// one worker, so that worker restores all of a run's pairs and
+    /// resumes one repair across them. The chunk results come back in
+    /// input order, so the plan — updates, unrestorable list, and their
+    /// order — is identical to the sequential builder for every thread
+    /// count.
     pub fn failover_plan_par(
         &self,
         link: EdgeId,
         pairs: &[(NodeId, NodeId)],
         threads: usize,
     ) -> FailoverPlan {
-        let threads = threads.max(1);
-        if threads == 1 || pairs.len() < 2 {
-            return self.failover_plan(link, pairs.iter().copied());
-        }
         let failures = FailureSet::of_edge(link);
-        let chunks = source_chunks(pairs, pairs.len().div_ceil(threads * 4));
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let mut parts: Vec<PlanPart> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut mine = Vec::new();
-                        loop {
-                            // lint:allow(atomics-order) — pure ticket counter; the scope join publishes each worker's results
-                            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            let Some(chunk_pairs) = chunks.get(i) else {
-                                break;
-                            };
-                            let mut updates = Vec::new();
-                            let mut unrestorable = Vec::new();
-                            for &(s, t) in *chunk_pairs {
-                                self.plan_pair(
-                                    link,
-                                    &failures,
-                                    s,
-                                    t,
-                                    &mut updates,
-                                    &mut unrestorable,
-                                );
-                            }
-                            mine.push((i, updates, unrestorable));
-                        }
-                        mine
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| match h.join() {
-                    Ok(part) => part,
-                    Err(panic) => std::panic::resume_unwind(panic),
-                })
-                .collect()
-        });
-        parts.sort_unstable_by_key(|(i, _, _)| *i);
+        let (parts, _) = par::map_chunks_with(
+            pairs,
+            threads,
+            source_chunks,
+            || (),
+            |_, chunk| {
+                let mut updates = Vec::new();
+                let mut unrestorable = Vec::new();
+                for &(s, t) in chunk {
+                    self.plan_pair(link, &failures, s, t, &mut updates, &mut unrestorable);
+                }
+                (updates, unrestorable)
+            },
+        );
         let mut updates = Vec::new();
         let mut unrestorable = Vec::new();
-        for (_, mut u, mut r) in parts {
+        for (mut u, mut r) in parts {
             updates.append(&mut u);
             unrestorable.append(&mut r);
         }

@@ -44,7 +44,7 @@ pub fn provisioning_footprint<O: BasePathOracle>(oracle: &O) -> ProvisioningFoot
             }
             if let Some(p) = oracle.base_path(NodeId::new(s), NodeId::new(t)) {
                 php.net_mut()
-                    .establish_lsp_php(&p)
+                    .establish_lsp_php(p)
                     .expect("php establishment");
             }
         }

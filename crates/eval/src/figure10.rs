@@ -7,8 +7,7 @@
 //! vast majority of local restorations are (nearly) as good as optimal.
 
 use rbpc_core::{edge_bypass, end_route, BasePathOracle, Restorer};
-use rbpc_graph::{FailureSet, NodeId};
-use std::thread;
+use rbpc_graph::{par, FailureSet, NodeId};
 
 /// A histogram over stretch ratios with the paper's binning.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -121,19 +120,11 @@ pub fn figure10<O: BasePathOracle + Sync>(
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Figure10 {
-    let threads = threads.max(1);
-    let chunk = pairs.len().div_ceil(threads).max(1);
-    thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for slice in pairs.chunks(chunk) {
-            handles.push(scope.spawn(move || run_pairs(oracle, slice)));
-        }
-        let mut total = Figure10::default();
-        for h in handles {
-            total.merge(&h.join().expect("worker panicked"));
-        }
-        total
-    })
+    let mut total = Figure10::default();
+    for part in par::map_chunks(pairs, threads, |chunk| run_pairs(oracle, chunk)) {
+        total.merge(&part);
+    }
+    total
 }
 
 fn run_pairs<O: BasePathOracle>(oracle: &O, pairs: &[(NodeId, NodeId)]) -> Figure10 {

@@ -20,9 +20,8 @@
 
 use crate::format_table;
 use rbpc_core::{BasePathOracle, Restorer, SegmentKind};
-use rbpc_graph::{count_shortest_paths, splitmix64, FailureSet, NodeId};
+use rbpc_graph::{count_shortest_paths, par, splitmix64, FailureSet, NodeId};
 use std::collections::HashMap;
-use std::thread;
 
 /// The four failure classes of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -209,19 +208,10 @@ pub fn table2_block<O: BasePathOracle + Sync>(
     pairs: &[(NodeId, NodeId)],
     threads: usize,
 ) -> Table2Row {
-    let threads = threads.max(1);
-    let chunk = pairs.len().div_ceil(threads).max(1);
-    let acc = thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for slice in pairs.chunks(chunk) {
-            handles.push(scope.spawn(move || run_pairs(oracle, class, slice)));
-        }
-        let mut total = Acc::default();
-        for h in handles {
-            total.merge(h.join().expect("worker panicked"));
-        }
-        total
-    });
+    let mut acc = Acc::default();
+    for part in par::map_chunks(pairs, threads, |chunk| run_pairs(oracle, class, chunk)) {
+        acc.merge(part);
+    }
 
     // Per-router loads.
     let n = oracle.graph().node_count();

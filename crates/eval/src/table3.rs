@@ -6,9 +6,8 @@
 //! edge-bypass local RBPC cheap.
 
 use crate::format_table;
-use rbpc_graph::{shortest_path, CostModel, FailureSet, Graph, Metric};
+use rbpc_graph::{par, shortest_path, CostModel, FailureSet, Graph, Metric};
 use std::collections::BTreeMap;
-use std::thread;
 
 /// The bypass hop-count distribution of one network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,32 +58,20 @@ pub fn table3(
 ) -> BypassHistogram {
     let model = CostModel::new(metric, seed);
     let m = graph.edge_count();
-    let threads = threads.max(1);
-    let chunk = m.div_ceil(threads).max(1);
     let edge_ids: Vec<_> = graph.edge_ids().collect();
-    let partials = thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for slice in edge_ids.chunks(chunk) {
-            let model = &model;
-            handles.push(scope.spawn(move || {
-                let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-                let mut bridges = 0usize;
-                for &e in slice {
-                    let (u, v) = graph.endpoints(e);
-                    let failures = FailureSet::of_edge(e);
-                    let view = failures.view(graph);
-                    match shortest_path(&view, model, u, v) {
-                        Some(p) => *counts.entry(p.hop_count() as u32).or_default() += 1,
-                        None => bridges += 1,
-                    }
-                }
-                (counts, bridges)
-            }));
+    let partials = par::map_chunks(&edge_ids, threads, |slice| {
+        let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
+        let mut bridges = 0usize;
+        for &e in slice {
+            let (u, v) = graph.endpoints(e);
+            let failures = FailureSet::of_edge(e);
+            let view = failures.view(graph);
+            match shortest_path(&view, &model, u, v) {
+                Some(p) => *counts.entry(p.hop_count() as u32).or_default() += 1,
+                None => bridges += 1,
+            }
         }
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect::<Vec<_>>()
+        (counts, bridges)
     });
 
     let mut counts: BTreeMap<u32, usize> = BTreeMap::new();

@@ -595,45 +595,26 @@ impl CsrGraph {
         mask: Option<&FailureMask>,
         scratch: &mut SptBatchScratch,
     ) -> Vec<ShortestPathTree> {
-        let mut out = Vec::with_capacity(sources.len());
-        self.full_tree_batch_with(sources, mask, scratch, |_, tree| out.push(tree));
-        out
-    }
-
-    /// [`CsrGraph::full_tree_batch`] delivering each tree through a sink
-    /// callback (`sink(i, tree)` receives the tree of `sources[i]`,
-    /// in order) instead of collecting a `Vec` — the parallel engine
-    /// uses this to write pre-assigned output slots directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any source is out of range or `mask` was built for
-    /// different graph dimensions.
-    pub fn full_tree_batch_with(
-        &self,
-        sources: &[NodeId],
-        mask: Option<&FailureMask>,
-        scratch: &mut SptBatchScratch,
-        mut sink: impl FnMut(usize, ShortestPathTree),
-    ) {
         if let Some(m) = mask {
             m.check_dims(self.n, self.m);
         }
         if sources.is_empty() {
-            return;
+            return Vec::new();
         }
         self.build_slim(mask, scratch);
-        for (i, &source) in sources.iter().enumerate() {
-            assert!(source.index() < self.n, "source {source} out of range");
-            let tree = if mask.is_some_and(|m| m.node_failed(source)) {
-                ShortestPathTree::unreachable(source, self.n)
-            } else if scratch.slim_wmax > BUCKET_MAX_WEIGHT {
-                self.heavy_tree(source, mask, scratch)
-            } else {
-                self.batch_tree_inner(source, scratch)
-            };
-            sink(i, tree);
-        }
+        sources
+            .iter()
+            .map(|&source| {
+                assert!(source.index() < self.n, "source {source} out of range");
+                if mask.is_some_and(|m| m.node_failed(source)) {
+                    ShortestPathTree::unreachable(source, self.n)
+                } else if scratch.slim_wmax > BUCKET_MAX_WEIGHT {
+                    self.heavy_tree(source, mask, scratch)
+                } else {
+                    self.batch_tree_inner(source, scratch)
+                }
+            })
+            .collect()
     }
 
     /// Compacts the adjacency into the scratch's slim CSR, dropping every
@@ -897,24 +878,16 @@ mod tests {
     }
 
     #[test]
-    fn sink_form_preserves_order_and_indices() {
+    fn batch_preserves_source_order_with_repeats() {
         let g = random_graph(20, 45, 11);
         let model = CostModel::new(Metric::Weighted, 2);
         let csr = CsrGraph::new(&g, &model);
         let mut batch = SptBatchScratch::new(csr.node_count());
         let sources = [NodeId::new(5), NodeId::new(0), NodeId::new(5)];
-        let mut seen = Vec::new();
-        csr.full_tree_batch_with(&sources, None, &mut batch, |i, t| {
-            seen.push((i, t.source()));
-        });
-        assert_eq!(
-            seen,
-            vec![
-                (0, NodeId::new(5)),
-                (1, NodeId::new(0)),
-                (2, NodeId::new(5))
-            ]
-        );
+        let trees = csr.full_tree_batch(&sources, None, &mut batch);
+        let seen: Vec<NodeId> = trees.iter().map(ShortestPathTree::source).collect();
+        assert_eq!(seen, sources);
+        assert_eq!(trees[0], trees[2]);
     }
 
     #[test]

@@ -1,39 +1,148 @@
-//! Std-only parallel batch Dijkstra: the RBPC provisioning fan-out.
+//! Std-only work pool: every parallel sweep of the workspace runs here.
 //!
-//! Provisioning computes one shortest-path tree per source — *n*
-//! independent Dijkstras. This module runs them on a `std::thread::scope`
-//! work pool: sources are cut into fixed chunks, worker threads claim
-//! chunks through a single `AtomicUsize` (lock-free stealing, so an
-//! unlucky thread that draws the expensive sources does not serialize the
-//! batch), and each thread runs its chunks through the **batched
-//! decrease-key kernel** ([`CsrGraph::full_tree_batch_with`]), reusing
-//! one [`SptBatchScratch`] across all the trees it computes — the
-//! packed per-node records and the frontier queues are allocated once
-//! per worker, never per chunk or per source.
+//! [`map_chunks_with`] is the one thread pool in library code. Worker
+//! threads on a `std::thread::scope` claim the caller's chunks through a
+//! single `AtomicUsize` (lock-free stealing, so an unlucky worker that
+//! draws the expensive chunks does not serialize the sweep), each with
+//! its own state from an `init` closure. A worker hands its
+//! `(chunk index, result)` pairs and its state back through its join,
+//! which orders them; no lock is taken. [`map_chunks`] is the evenly cut,
+//! stateless form.
+//!
+//! Consumers: the provisioning fan-out [`par_all_sources_csr`] below (one
+//! [`SptBatchScratch`] per worker), `Restorer::failover_plan_par` in
+//! `rbpc-core`, `outage_summary_threads` and `churn_under_threads` in
+//! `rbpc-sim`, and `table2_block`, `table3` and `figure10` in
+//! `rbpc-eval`.
 //!
 //! # Determinism
 //!
-//! Results are written into an output slot pre-assigned per source
-//! (`result[i]` is the tree of `sources[i]`), so the merge is a no-op and
-//! the output order never depends on scheduling. The tree *contents* are
-//! scheduling-independent too: perturbed costs make every shortest path
-//! unique (see [`CostModel`](crate::CostModel)), so any thread computing the tree of source
-//! `s` produces bit-identical arrays. `par_all_sources_csr` with 1, 2, or 64
-//! threads returns byte-for-byte the same `Vec<ShortestPathTree>` as the
-//! sequential [`shortest_path_tree`](crate::shortest_path_tree) loop —
-//! enforced by `tests/csr_parallel.rs` at the repository root.
-//!
-//! This crate forbids `unsafe`, so output pre-slicing uses a `Mutex`
-//! hand-off: each chunk's `&mut` output slice sits in a `Mutex<Option<…>>`
-//! claimed exactly once by the thread that wins its index. The mutexes are
-//! uncontended by construction (the atomic hands each index to one
-//! thread), so the cost is one lock per chunk, not per tree.
+//! Results come back in chunk order, and each chunk's result depends on
+//! its inputs alone: perturbed costs make every shortest path unique (see
+//! [`CostModel`](crate::CostModel)), so any worker computing the tree of
+//! source `s` — or restoring pair `(s, t)` — produces bit-identical
+//! output. Every consumer's output is therefore the same for every thread
+//! count. `par_all_sources_csr` with 1, 2, or 64 threads returns
+//! byte-for-byte the same `Vec<ShortestPathTree>` as the sequential
+//! [`shortest_path_tree`](crate::shortest_path_tree) loop — enforced by
+//! `tests/csr_parallel.rs` at the repository root.
 
 use crate::csr::{CsrGraph, FailureMask, SptBatchScratch};
 use crate::{NodeId, ShortestPathTree};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::thread;
+
+/// Deterministic chunk length: about four chunks per worker, small enough
+/// to balance, large enough that claiming a chunk is noise.
+fn chunk_size_for(len: usize, threads: usize) -> usize {
+    len.div_ceil(threads.max(1) * 4).max(1)
+}
+
+/// Applies `work` to chunks of `items` on up to `threads` worker threads
+/// and returns the per-chunk results in chunk order, with each worker's
+/// final state.
+///
+/// `cut(items, len)` splits `items` into consecutive chunks of about
+/// `len` items (the pool's even chunk length for `threads`) that
+/// together are `items`; a caller whose work must not straddle some
+/// boundary extends chunks to it, since each chunk runs whole, in order,
+/// on the one worker that claims it. Every worker starts from its own
+/// `init()` state, which `work` mutates across all the chunks that
+/// worker claims; the states come back in worker order.
+///
+/// `threads == 0` is treated as 1. With one worker — one thread, fewer
+/// than two items (`cut` is then not called), or a cut into a single
+/// chunk — the whole input runs as one chunk on the caller's thread (an
+/// empty input runs none) and one state comes back.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic with its own payload.
+pub fn map_chunks_with<'a, T, S, R>(
+    items: &'a [T],
+    threads: usize,
+    cut: impl FnOnce(&'a [T], usize) -> Vec<&'a [T]>,
+    init: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, &'a [T]) -> R + Sync,
+) -> (Vec<R>, Vec<S>)
+where
+    T: Sync,
+    S: Send,
+    R: Send,
+{
+    let threads = threads.max(1);
+    let chunks = if threads == 1 || items.len() < 2 {
+        Vec::new()
+    } else {
+        cut(items, chunk_size_for(items.len(), threads))
+    };
+    let workers = threads.min(chunks.len());
+    if workers < 2 {
+        let mut state = init();
+        let results = if items.is_empty() {
+            Vec::new()
+        } else {
+            vec![work(&mut state, items)]
+        };
+        return (results, vec![state]);
+    }
+
+    let next = AtomicUsize::new(0);
+    let per_worker: Vec<(Vec<(usize, R)>, S)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut done = Vec::new();
+                    loop {
+                        // lint:allow(atomics-order) — pure ticket counter; each worker's results travel back through its join, which orders them
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&chunk) = chunks.get(i) else { break };
+                        done.push((i, work(&mut state, chunk)));
+                    }
+                    (done, state)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
+    });
+
+    let mut done = Vec::with_capacity(chunks.len());
+    let mut states = Vec::with_capacity(workers);
+    for (mine, state) in per_worker {
+        done.extend(mine);
+        states.push(state);
+    }
+    done.sort_unstable_by_key(|&(i, _)| i);
+    (done.into_iter().map(|(_, result)| result).collect(), states)
+}
+
+/// [`map_chunks_with`] with even chunks and no per-worker state: applies
+/// `work` to chunks of `items` on up to `threads` worker threads and
+/// returns the per-chunk results in chunk order.
+///
+/// # Panics
+///
+/// Re-raises a worker's panic with its own payload.
+pub fn map_chunks<T, R>(items: &[T], threads: usize, work: impl Fn(&[T]) -> R + Sync) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
+    map_chunks_with(items, threads, even_chunks, || (), |_, chunk| work(chunk)).0
+}
+
+/// Cuts `items` into consecutive chunks of `len` (the last may be shorter).
+fn even_chunks<T>(items: &[T], len: usize) -> Vec<&[T]> {
+    items.chunks(len).collect()
+}
 
 /// Per-thread accounting from a [`par_all_sources_csr`] run, for obs counters
 /// at the call site (`rbpc-graph` itself carries no instrumentation).
@@ -43,7 +152,8 @@ pub struct ParStats {
     pub threads: usize,
     /// Number of chunks the source list was cut into.
     pub chunks: usize,
-    /// Sources per chunk (last chunk may be smaller).
+    /// Sources per chunk (last chunk may be smaller; the whole list when
+    /// the run was inline).
     pub chunk_size: usize,
     /// Chunks claimed by each thread — the "steal" distribution.
     pub chunk_claims: Vec<u64>,
@@ -109,21 +219,15 @@ impl ParStats {
 
 /// Node count below which a parallel batch runs inline instead.
 ///
-/// Spawning workers, fencing the claim atomic, and handing chunks
-/// through mutexes costs tens of microseconds — more than a whole batch
-/// of Dijkstras on a small graph, which is why
-/// `par_provision/isp_200/threads_8` used to *lose* to `threads_1`. Below
-/// this threshold [`par_all_sources_csr`] ignores the requested thread count
-/// and runs the single-thread path ([`ParStats::threads`] reports what
-/// was actually used). Results are bit-identical either way, so the
-/// cutoff is purely a scheduling decision.
+/// Spawning workers and fencing the claim atomic costs tens of
+/// microseconds — more than a whole batch of Dijkstras on a small graph,
+/// which is why `par_provision/isp_200/threads_8` used to *lose* to
+/// `threads_1`. Below this threshold [`par_all_sources_csr`] ignores the
+/// requested thread count and runs the single-thread path
+/// ([`ParStats::threads`] reports what was actually used). Results are
+/// bit-identical either way, so the cutoff is purely a scheduling
+/// decision.
 pub const PAR_SERIAL_CUTOFF: usize = 1_000;
-
-/// Deterministic chunk size: small enough to balance, large enough that
-/// the per-chunk mutex hand-off is noise.
-fn chunk_size_for(len: usize, threads: usize) -> usize {
-    len.div_ceil(threads.max(1) * 4).max(1)
-}
 
 /// Computes the shortest-path trees of `sources` over `csr` on `threads`
 /// worker threads, with an optional failure mask applied to every tree.
@@ -133,12 +237,13 @@ fn chunk_size_for(len: usize, threads: usize) -> usize {
 /// over the graph the CSR was built from (under the mask's failures) for
 /// every thread count. `threads == 0` is treated as 1; with 1 thread —
 /// requested, or forced by the [`PAR_SERIAL_CUTOFF`] on small graphs —
-/// the batch runs inline on the caller's thread.
+/// the whole list runs as one batch on the caller's thread.
 ///
 /// Every chunk runs through the batched decrease-key kernel
-/// ([`CsrGraph::full_tree_batch_with`]); the returned [`ParStats`] carry
-/// per-thread heap push/pop/decrease-key totals so callers can surface
-/// the kernel's traffic as metrics.
+/// ([`CsrGraph::full_tree_batch`]) on its worker's one
+/// [`SptBatchScratch`]; the returned [`ParStats`] carry per-thread heap
+/// push/pop/decrease-key totals so callers can surface the kernel's
+/// traffic as metrics.
 ///
 /// # Panics
 ///
@@ -153,80 +258,29 @@ pub fn par_all_sources_csr(
     let threads = if csr.node_count() < PAR_SERIAL_CUTOFF {
         1
     } else {
-        threads.max(1)
+        threads
     };
-    let chunk = chunk_size_for(sources.len(), threads);
-    let mut stats = ParStats {
+    // Each worker reuses one batch scratch across every chunk it claims.
+    let (parts, workers) = map_chunks_with(
+        sources,
         threads,
-        chunks: sources.len().div_ceil(chunk),
-        chunk_size: chunk,
+        even_chunks,
+        || (SptBatchScratch::new(csr.node_count()), 0u64),
+        |(scratch, claims), srcs| {
+            *claims += 1;
+            csr.full_tree_batch(srcs, mask, scratch)
+        },
+    );
+    let mut stats = ParStats {
+        threads: workers.len(),
+        chunks: parts.len(),
+        chunk_size: parts.first().map_or(0, Vec::len),
         ..ParStats::default()
     };
-
-    if threads == 1 {
-        // One batch scratch reused across every source of the sweep — the
-        // serial arm is simply the batched kernel over the whole list.
-        let mut scratch = SptBatchScratch::new(csr.node_count());
-        let trees = csr.full_tree_batch(sources, mask, &mut scratch);
-        stats.push_thread(stats.chunks as u64, &scratch);
-        return (trees, stats);
+    for (scratch, claims) in &workers {
+        stats.push_thread(*claims, scratch);
     }
-
-    let mut out: Vec<Option<ShortestPathTree>> = Vec::new();
-    out.resize_with(sources.len(), || None);
-    {
-        // Pre-slice the output per chunk. Each Mutex is locked exactly
-        // once, by the thread whose fetch_add claimed that index.
-        type Job<'a> = (&'a mut [Option<ShortestPathTree>], &'a [NodeId]);
-        let jobs: Vec<Mutex<Option<Job<'_>>>> = out
-            .chunks_mut(chunk)
-            .zip(sources.chunks(chunk))
-            .map(|job| Mutex::new(Some(job)))
-            .collect();
-        let next = AtomicUsize::new(0);
-
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    scope.spawn(|| {
-                        // One batch scratch per worker, reused across every
-                        // chunk this thread steals.
-                        let mut scratch = SptBatchScratch::new(csr.node_count());
-                        let mut claims = 0u64;
-                        // lint:hot: the worker steal loop of the sweep.
-                        loop {
-                            // lint:allow(atomics-order) — pure ticket counter; the per-job Mutex is the hand-off that orders the data
-                            let j = next.fetch_add(1, Ordering::Relaxed);
-                            if j >= jobs.len() {
-                                break;
-                            }
-                            claims += 1;
-                            let job = jobs[j]
-                                .lock()
-                                .unwrap_or_else(|poison| poison.into_inner())
-                                .take();
-                            let Some((slots, srcs)) = job else { continue };
-                            csr.full_tree_batch_with(srcs, mask, &mut scratch, |i, tree| {
-                                slots[i] = Some(tree);
-                            });
-                        }
-                        (claims, scratch)
-                    })
-                })
-                .collect();
-            for handle in handles {
-                match handle.join() {
-                    Ok((claims, scratch)) => stats.push_thread(claims, &scratch),
-                    Err(panic) => std::panic::resume_unwind(panic),
-                }
-            }
-        });
-    }
-    let trees = out
-        .into_iter()
-        .map(|slot| slot.expect("invariant: every chunk is claimed exactly once"))
-        .collect();
-    (trees, stats)
+    (parts.into_iter().flatten().collect(), stats)
 }
 
 #[cfg(test)]
@@ -356,6 +410,81 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(stats.threads, 1);
         assert_eq!(stats.total_scratch_reuses(), 11);
+    }
+
+    #[test]
+    fn chunk_results_come_back_in_order() {
+        let items: Vec<usize> = (0..100).collect();
+        for threads in [1, 2, 3, 8] {
+            let sums = map_chunks(&items, threads, |chunk| chunk.iter().sum::<usize>());
+            assert_eq!(sums.iter().sum::<usize>(), 4950, "threads {threads}");
+        }
+        // Chunk order: concatenating the chunks reproduces the input.
+        let echoed = map_chunks(&items, 4, <[usize]>::to_vec);
+        assert_eq!(echoed.concat(), items);
+    }
+
+    #[test]
+    fn empty_and_singleton_inputs() {
+        assert!(map_chunks::<u8, usize>(&[], 8, <[u8]>::len).is_empty());
+        assert_eq!(map_chunks(&[7u8], 8, <[u8]>::len), vec![1]);
+    }
+
+    #[test]
+    fn caller_cut_chunks_run_whole_and_states_come_back() {
+        // Cut at every change of the leading digit, as a caller keeping
+        // runs together would; each chunk must reach `work` whole.
+        fn by_tens(items: &[u32], _len: usize) -> Vec<&[u32]> {
+            items.chunk_by(|a, b| a / 10 == b / 10).collect()
+        }
+        let items: Vec<u32> = (0..60).collect();
+        let (runs, states) = map_chunks_with(
+            &items,
+            3,
+            by_tens,
+            || 0usize,
+            |seen, chunk| {
+                *seen += chunk.len();
+                (chunk[0], chunk.len())
+            },
+        );
+        assert_eq!(runs, (0..6).map(|d| (d * 10, 10)).collect::<Vec<_>>());
+        assert_eq!(states.len(), 3);
+        assert_eq!(states.iter().sum::<usize>(), 60);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk at 5 failed")]
+    fn worker_panic_keeps_its_payload() {
+        // 40 items on 2 workers cut into chunks of 5; the one holding 7
+        // starts at 5.
+        let items: Vec<usize> = (0..40).collect();
+        map_chunks(&items, 2, |chunk| {
+            if chunk.contains(&7) {
+                panic!("chunk at {} failed", chunk[0]);
+            }
+            chunk.len()
+        });
+    }
+
+    #[test]
+    fn one_worker_runs_one_chunk_on_the_callers_thread() {
+        let caller = thread::current().id();
+        let items: Vec<usize> = (0..100).collect();
+        for threads in [0, 1] {
+            let (runs, states) = map_chunks_with(
+                &items,
+                threads,
+                |_, _| unreachable!("one worker never cuts"),
+                || 0u32,
+                |calls, chunk| {
+                    *calls += 1;
+                    (thread::current().id(), chunk.len())
+                },
+            );
+            assert_eq!(runs, vec![(caller, 100)], "threads {threads}");
+            assert_eq!(states, vec![1]);
+        }
     }
 
     #[test]

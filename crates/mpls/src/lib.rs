@@ -37,7 +37,7 @@
 //! let path = Path::from_edges(&g, 0.into(), &[e0, e1])?;
 //!
 //! let mut net = MplsNetwork::new(g);
-//! let lsp = net.establish_lsp(&path)?;
+//! let lsp = net.establish_lsp(path.clone())?;
 //! net.set_fec_via_lsps(0.into(), 2.into(), &[lsp])?;
 //!
 //! let trace = net.forward(0.into(), 2.into())?;

@@ -3,8 +3,7 @@
 use crate::merged::SinkTreeRecord;
 use crate::packet::InFlight;
 use crate::{
-    FecEntry, ForwardError, ForwardTrace, IlmEntry, IlmOp, Label, LspId, MplsError, Router,
-    SignalingStats,
+    ForwardError, ForwardTrace, IlmEntry, IlmOp, Label, LspId, MplsError, Router, SignalingStats,
 };
 use rbpc_graph::{FailureSet, Graph, NodeId, Path, PathError};
 use rbpc_obs::{obs_count, obs_event, obs_record, obs_trace, obs_trace_attr};
@@ -188,7 +187,7 @@ impl MplsNetwork {
     ///
     /// * [`MplsError::TrivialPath`] for a zero-hop path;
     /// * [`MplsError::Path`] if the path does not fit this network's graph.
-    pub fn establish_lsp(&mut self, path: &Path) -> Result<LspId, MplsError> {
+    pub fn establish_lsp(&mut self, path: Path) -> Result<LspId, MplsError> {
         self.establish(path, false)
     }
 
@@ -199,7 +198,7 @@ impl MplsNetwork {
     /// # Errors
     ///
     /// Same as [`MplsNetwork::establish_lsp`].
-    pub fn establish_lsp_php(&mut self, path: &Path) -> Result<LspId, MplsError> {
+    pub fn establish_lsp_php(&mut self, path: Path) -> Result<LspId, MplsError> {
         self.establish(path, true)
     }
 
@@ -216,11 +215,11 @@ impl MplsNetwork {
         Ok(())
     }
 
-    fn establish(&mut self, path: &Path, php: bool) -> Result<LspId, MplsError> {
+    fn establish(&mut self, path: Path, php: bool) -> Result<LspId, MplsError> {
         if path.is_trivial() {
             return Err(MplsError::TrivialPath);
         }
-        self.validate_path(path)?;
+        self.validate_path(&path)?;
         let m = path.nodes().len();
         let mut labels: Vec<Option<Label>> = Vec::with_capacity(m);
         for (i, &node) in path.nodes().iter().enumerate() {
@@ -256,9 +255,9 @@ impl MplsNetwork {
         obs_count!("mpls.signaling.lsps_established");
         let id = LspId::new(self.lsps.len());
         self.lsps.push(LspRecord {
-            path: path.clone(),
             ingress: path.source(),
             egress: path.target(),
+            path,
             entry: labels[0].expect("invariant: the ingress always holds a label"),
             labels,
             php,
@@ -402,21 +401,31 @@ impl MplsNetwork {
     }
 
     /// Installs a raw FEC entry (bottom-first labels). For schemes that
-    /// compose labels themselves.
+    /// compose labels themselves. The labels are written into the
+    /// existing FEC entry, so a rewrite allocates nothing once the entry
+    /// has held a stack that deep.
     ///
     /// # Errors
     ///
-    /// [`MplsError::UnknownRouter`] if `router` or `dest` is out of range.
-    pub fn set_fec_raw(
+    /// [`MplsError::UnknownRouter`] if `router` or `dest` is out of range;
+    /// the FEC entry is then unchanged.
+    pub fn set_fec_raw<I>(
         &mut self,
         router: NodeId,
         dest: NodeId,
-        labels: Vec<Label>,
-    ) -> Result<(), MplsError> {
+        labels: I,
+    ) -> Result<(), MplsError>
+    where
+        I: IntoIterator<Item = Label>,
+        I::IntoIter: ExactSizeIterator,
+    {
         self.router(router)?;
         self.router(dest)?;
+        let labels = labels.into_iter();
         let depth = labels.len();
-        self.routers[router.index()].install_fec(dest, FecEntry { labels });
+        let entry = self.routers[router.index()].fec_labels_mut(dest);
+        entry.clear();
+        entry.extend(labels);
         self.stats.fec_writes += 1;
         obs_count!("mpls.signaling.fec_writes");
         obs_event!(
@@ -687,7 +696,7 @@ mod tests {
     fn establish_and_forward() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1], e[2]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p.clone()).unwrap();
         net.set_fec_via_lsps(0.into(), 3.into(), &[lsp]).unwrap();
         let t = net.forward(0.into(), 3.into()).unwrap();
         assert_eq!(t.route(), p.nodes());
@@ -703,7 +712,7 @@ mod tests {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1], e[2]]);
         let before = net.total_ilm_entries();
-        let lsp = net.establish_lsp_php(&p).unwrap();
+        let lsp = net.establish_lsp_php(p.clone()).unwrap();
         assert_eq!(net.total_ilm_entries(), before + 3); // not 4
         net.set_fec_via_lsps(0.into(), 3.into(), &[lsp]).unwrap();
         let t = net.forward(0.into(), 3.into()).unwrap();
@@ -718,8 +727,8 @@ mod tests {
         let (mut net, e) = net();
         let p1 = path(&net, 0, &[e[0], e[1]]);
         let p2 = path(&net, 2, &[e[2]]);
-        let l1 = net.establish_lsp(&p1).unwrap();
-        let l2 = net.establish_lsp(&p2).unwrap();
+        let l1 = net.establish_lsp(p1).unwrap();
+        let l2 = net.establish_lsp(p2).unwrap();
         net.set_fec_via_lsps(0.into(), 3.into(), &[l1, l2]).unwrap();
         let t = net.forward(0.into(), 3.into()).unwrap();
         assert_eq!(
@@ -738,7 +747,7 @@ mod tests {
     fn broken_lsp_black_holes_until_spliced() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1], e[2]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p.clone()).unwrap();
         net.set_fec_via_lsps(0.into(), 3.into(), &[lsp]).unwrap();
         let failures = FailureSet::of_edge(e[1]);
         let err = net
@@ -755,7 +764,7 @@ mod tests {
         // Local splice at router 1: detour via 4 on two bypass LSPs, then
         // resume the original LSP at router 2.
         let bypass = path(&net, 1, &[e[3], e[4]]);
-        let bl = net.establish_lsp(&bypass).unwrap();
+        let bl = net.establish_lsp(bypass).unwrap();
         let broken_label = net.lsp(lsp).unwrap().label_at(1.into()).unwrap();
         let resume = net.lsp(lsp).unwrap().label_at(2.into()).unwrap();
         let old = net
@@ -784,7 +793,7 @@ mod tests {
     fn teardown_removes_state() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p).unwrap();
         assert_eq!(net.total_ilm_entries(), 3);
         net.teardown_lsp(lsp).unwrap();
         assert_eq!(net.total_ilm_entries(), 0);
@@ -805,7 +814,7 @@ mod tests {
     fn signaling_accounting() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1], e[2]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p).unwrap();
         let s = net.stats();
         assert_eq!(s.messages, 6); // 2 per hop
         assert_eq!(s.ilm_writes, 4);
@@ -825,8 +834,8 @@ mod tests {
         let (mut net, e) = net();
         let p1 = path(&net, 0, &[e[0]]);
         let p2 = path(&net, 2, &[e[2]]);
-        let l1 = net.establish_lsp(&p1).unwrap();
-        let l2 = net.establish_lsp(&p2).unwrap();
+        let l1 = net.establish_lsp(p1).unwrap();
+        let l2 = net.establish_lsp(p2).unwrap();
         // Gap between node 1 and node 2.
         assert_eq!(
             net.set_fec_via_lsps(0.into(), 3.into(), &[l1, l2])
@@ -870,7 +879,7 @@ mod tests {
         );
         // Stack that ends at the wrong router -> underflow.
         let p = path(&net, 0, &[e[0]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p).unwrap();
         let entry = net.lsp(lsp).unwrap().entry_label();
         net.set_fec_raw(0.into(), 3.into(), vec![entry]).unwrap();
         assert_eq!(
@@ -891,8 +900,8 @@ mod tests {
         let (mut net, e) = net();
         let there = path(&net, 0, &[e[0]]);
         let back = path(&net, 1, &[e[0]]);
-        let l1 = net.establish_lsp(&there).unwrap();
-        let l2 = net.establish_lsp(&back).unwrap();
+        let l1 = net.establish_lsp(there).unwrap();
+        let l2 = net.establish_lsp(back).unwrap();
         // 0 -> 1 -> 0 -> 1 ... via a self-rewriting splice at 0.
         let entry1 = net.lsp(l1).unwrap().entry_label();
         let entry2 = net.lsp(l2).unwrap().entry_label();
@@ -915,7 +924,7 @@ mod tests {
     fn rejects_trivial_and_foreign_paths() {
         let (mut net, _) = net();
         assert_eq!(
-            net.establish_lsp(&Path::trivial(0.into())).unwrap_err(),
+            net.establish_lsp(Path::trivial(0.into())).unwrap_err(),
             MplsError::TrivialPath
         );
         // A path whose edge ids don't exist here.
@@ -925,7 +934,7 @@ mod tests {
         let foreign = Path::from_edges(&other, 0.into(), &[x, x2]).unwrap();
         // e0 exists in net's graph but connects 0-1 there, not 0-2.
         assert!(matches!(
-            net.establish_lsp(&foreign),
+            net.establish_lsp(foreign),
             Err(MplsError::Path(_))
         ));
     }
@@ -935,8 +944,8 @@ mod tests {
         let (mut net, e) = net();
         let p1 = path(&net, 0, &[e[0], e[1]]);
         let p2 = path(&net, 1, &[e[1], e[2]]);
-        let l1 = net.establish_lsp(&p1).unwrap();
-        let l2 = net.establish_lsp(&p2).unwrap();
+        let l1 = net.establish_lsp(p1).unwrap();
+        let l2 = net.establish_lsp(p2).unwrap();
         // Router 1 allocated labels for both LSPs; they must differ.
         let a = net.lsp(l1).unwrap().label_at(1.into()).unwrap();
         let b = net.lsp(l2).unwrap().label_at(1.into()).unwrap();
@@ -973,7 +982,7 @@ mod tests {
     fn unallocated_labels_are_refused() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0], e[1]]);
-        let lsp = net.establish_lsp(&p).unwrap();
+        let lsp = net.establish_lsp(p.clone()).unwrap();
         let entry = net
             .router(1.into())
             .unwrap()
@@ -1008,7 +1017,7 @@ mod tests {
     fn lsps_iterator_and_records() {
         let (mut net, e) = net();
         let p = path(&net, 0, &[e[0]]);
-        let id = net.establish_lsp(&p).unwrap();
+        let id = net.establish_lsp(p.clone()).unwrap();
         let recs: Vec<_> = net.lsps().collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].0, id);

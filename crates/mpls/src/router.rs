@@ -145,12 +145,6 @@ impl Router {
         self.ilm_live
     }
 
-    /// Installs (or overwrites) a FEC entry for a destination. Returns the
-    /// previous entry.
-    pub fn install_fec(&mut self, dest: NodeId, entry: FecEntry) -> Option<FecEntry> {
-        self.fec.insert(dest, entry)
-    }
-
     /// The labels of the FEC entry for `dest`, created empty if absent, to
     /// be rewritten in place.
     pub(crate) fn fec_labels_mut(&mut self, dest: NodeId) -> &mut Vec<Label> {
@@ -246,7 +240,7 @@ mod tests {
         let entry = FecEntry {
             labels: vec![Label::new(100)],
         };
-        assert_eq!(r.install_fec(dest, entry.clone()), None);
+        r.fec_labels_mut(dest).push(Label::new(100));
         assert_eq!(r.fec(dest), Some(&entry));
         assert_eq!(r.fec_size(), 1);
         assert_eq!(r.remove_fec(dest), Some(entry));

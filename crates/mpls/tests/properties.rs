@@ -40,9 +40,9 @@ proptest! {
                 continue;
             }
             let id = if php {
-                net.establish_lsp_php(&path).unwrap()
+                net.establish_lsp_php(path.clone()).unwrap()
             } else {
-                net.establish_lsp(&path).unwrap()
+                net.establish_lsp(path.clone()).unwrap()
             };
             // Entry count matches the LSP shape.
             let expect = if php { path.hop_count() } else { path.hop_count() + 1 };
@@ -76,9 +76,9 @@ proptest! {
         }
         let mut net = MplsNetwork::new(g);
         let id = if php {
-            net.establish_lsp_php(&path).unwrap()
+            net.establish_lsp_php(path.clone()).unwrap()
         } else {
-            net.establish_lsp(&path).unwrap()
+            net.establish_lsp(path.clone()).unwrap()
         };
         net.set_fec_via_lsps(s, t, &[id]).unwrap();
         let trace = net.forward(s, t).unwrap();
@@ -105,7 +105,7 @@ proptest! {
             return Ok(());
         }
         let mut net = MplsNetwork::new(g);
-        let id = net.establish_lsp(&path).unwrap();
+        let id = net.establish_lsp(path.clone()).unwrap();
         net.set_fec_via_lsps(s, t, &[id]).unwrap();
         let idx = which % path.hop_count();
         let failures = FailureSet::of_edge(path.edges()[idx]);
@@ -171,8 +171,8 @@ proptest! {
             return Ok(());
         }
         let mut net = MplsNetwork::new(g);
-        let l1 = net.establish_lsp(&p1).unwrap();
-        let l2 = net.establish_lsp(&p2).unwrap();
+        let l1 = net.establish_lsp(p1.clone()).unwrap();
+        let l2 = net.establish_lsp(p2.clone()).unwrap();
         net.set_fec_via_lsps(s, t, &[l1, l2]).unwrap();
         let trace = net.forward(s, t).unwrap();
         let expected = p1.concat(&p2).unwrap();

@@ -22,7 +22,7 @@
 
 use crate::{outage_under, LatencyModel, Scheme};
 use rbpc_core::BasePathOracle;
-use rbpc_graph::{DetRng, EdgeId, FailureSet, Graph, NodeId};
+use rbpc_graph::{par, DetRng, EdgeId, FailureSet, Graph, NodeId};
 use rbpc_obs::{obs_count, obs_record, obs_trace, obs_trace_attr};
 
 /// One link event in a churn sequence.
@@ -223,7 +223,7 @@ pub fn churn_under_threads<O: BasePathOracle + Sync>(
                 down += 1;
                 let mut event_total = 0u64;
                 let live = &live;
-                let tallies = crate::par::map_chunks(pairs, threads, |chunk| {
+                let tallies = par::map_chunks(pairs, threads, |chunk| {
                     let mut tally = FailTally::default();
                     for &(s, t) in chunk {
                         let Some(base) = oracle.base_path(s, t) else {
@@ -270,7 +270,7 @@ pub fn churn_under_threads<O: BasePathOracle + Sync>(
                 live.restore_edge(e);
                 down = down.saturating_sub(1);
                 let live = &live;
-                let reverted = crate::par::map_chunks(pairs, threads, |chunk| {
+                let reverted = par::map_chunks(pairs, threads, |chunk| {
                     chunk
                         .iter()
                         .filter(|&&(s, t)| {

@@ -19,6 +19,13 @@
 //! estimates. See `examples/restoration_latency.rs` for the headline
 //! comparison.
 //!
+//! The sweeps ([`outage_summary_threads`], [`churn_under_threads`]) fan
+//! their independent per-pair work out on the workspace's one work pool,
+//! [`rbpc_graph::par`], and fold per-chunk sums and maxima in chunk
+//! order, so a summary is bit-identical for every thread count;
+//! [`outage_summary`] and [`churn_under`] are the same sweeps on one
+//! worker, run on the caller's thread.
+//!
 //! The full paper-to-code map (theorems, figures, tables -> modules and
 //! tests) is in `docs/PAPER_MAP.md` at the repository root;
 //! `docs/ARCHITECTURE.md` shows how the crates fit together.
@@ -30,7 +37,6 @@ mod churn;
 mod flow;
 mod model;
 mod outage;
-mod par;
 mod storm;
 
 pub use churn::{

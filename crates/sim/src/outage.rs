@@ -2,7 +2,7 @@
 
 use crate::{flood_timeline, LatencyModel};
 use rbpc_core::{edge_bypass, end_route, BasePathOracle, RestoreError, Restorer};
-use rbpc_graph::{EdgeId, FailureSet, NodeId};
+use rbpc_graph::{par, EdgeId, FailureSet, NodeId};
 use rbpc_obs::{
     obs_count, obs_flight, obs_record, obs_trace, obs_trace_attr, FlightKind, FlightRecord,
 };
@@ -302,14 +302,14 @@ pub struct OutageSummary {
 }
 
 /// Runs [`outage`] for every link of every sampled pair's base path and
-/// summarizes per scheme.
-pub fn outage_summary<O: BasePathOracle>(
+/// summarizes per scheme: [`outage_summary_threads`] on one worker.
+pub fn outage_summary<O: BasePathOracle + Sync>(
     oracle: &O,
     model: &LatencyModel,
     pairs: &[(NodeId, NodeId)],
     scheme: Scheme,
 ) -> OutageSummary {
-    outage_summary_fold(oracle, model, pairs, scheme)
+    outage_summary_threads(oracle, model, pairs, scheme, 1)
 }
 
 /// [`outage_summary`], sweeping the sampled pairs on up to `threads`
@@ -326,7 +326,7 @@ pub fn outage_summary_threads<O: BasePathOracle + Sync>(
     scheme: Scheme,
     threads: usize,
 ) -> OutageSummary {
-    let per_chunk = crate::par::map_chunks(pairs, threads, |chunk| {
+    let per_chunk = par::map_chunks(pairs, threads, |chunk| {
         outage_accum(oracle, model, chunk, scheme)
     });
     let mut events = 0usize;
@@ -339,7 +339,18 @@ pub fn outage_summary_threads<O: BasePathOracle + Sync>(
         total += s.total_us;
         max = max.max(s.max_us);
     }
-    finish_summary(scheme, events, unrestorable, total, max)
+    let restorable = events - unrestorable;
+    OutageSummary {
+        scheme,
+        events,
+        unrestorable,
+        mean_us: if restorable == 0 {
+            0.0
+        } else {
+            total as f64 / restorable as f64
+        },
+        max_us: max,
+    }
 }
 
 /// One chunk's worth of [`outage_summary`] accumulation, before the mean
@@ -382,43 +393,6 @@ fn outage_accum<O: BasePathOracle>(
         }
     }
     acc
-}
-
-fn outage_summary_fold<O: BasePathOracle>(
-    oracle: &O,
-    model: &LatencyModel,
-    pairs: &[(NodeId, NodeId)],
-    scheme: Scheme,
-) -> OutageSummary {
-    let acc = outage_accum(oracle, model, pairs, scheme);
-    finish_summary(
-        scheme,
-        acc.events,
-        acc.unrestorable,
-        acc.total_us,
-        acc.max_us,
-    )
-}
-
-fn finish_summary(
-    scheme: Scheme,
-    events: usize,
-    unrestorable: usize,
-    total: u64,
-    max: u64,
-) -> OutageSummary {
-    let restorable = events - unrestorable;
-    OutageSummary {
-        scheme,
-        events,
-        unrestorable,
-        mean_us: if restorable == 0 {
-            0.0
-        } else {
-            total as f64 / restorable as f64
-        },
-        max_us: max,
-    }
 }
 
 #[cfg(test)]

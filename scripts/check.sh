@@ -71,6 +71,11 @@ cargo run -q --release --example local_vs_source > /dev/null
 echo "== CSR / parallel determinism property test (release, 2-thread runs included)"
 cargo test --release --test csr_parallel -q
 
+echo "== work-pool consumers' thread-count invariance (release: failover plan, outage and churn sweeps, Table 2/3 and Figure 10)"
+cargo test --release -q -p rbpc-core -p rbpc-sim -p rbpc-eval --lib -- \
+    parallel_plan_is_identical_to_sequential summary_is_thread_count_invariant \
+    churn_is_thread_count_invariant parallel_and_serial_agree
+
 echo "== SPT repair property test (release: CSR repair kernel == scalar reference == rebuild, after every churn and flap step)"
 cargo test --release --test spt_repair -q
 

@@ -12,10 +12,15 @@ use mpls_rbpc::sim::{outage, outage_summary, LatencyModel, Scheme};
 use mpls_rbpc::topo::{isp_topology, IspParams};
 
 fn isp() -> mpls_rbpc::graph::Graph {
+    isp_with_intra_pop_weight(IspParams::default().intra_pop_weight)
+}
+
+fn isp_with_intra_pop_weight(intra_pop_weight: u32) -> mpls_rbpc::graph::Graph {
     isp_topology(
         IspParams {
             pops: 10,
             core_routers: 8,
+            intra_pop_weight,
             ..IspParams::default()
         },
         11,
@@ -29,49 +34,78 @@ fn oracle() -> DenseBasePaths {
 
 /// Merged provisioning and per-pair provisioning forward identically and
 /// restore identically — only the ILM footprint differs.
+///
+/// Each sampled route loses its first link, then its first and last
+/// links together. On the plain ISP map every link is its endpoints'
+/// base path, so no restoration needs a raw edge; the second map makes
+/// the intra-PoP links cost more than the detour through the core (kept
+/// as backup links, they are no base path), so restorations over them
+/// carry raw-edge segments and the merged domain must establish and
+/// forward over one-hop LSPs.
 #[test]
 fn merged_and_pair_domains_agree() {
-    let o = oracle();
-    let g = o.graph().clone();
-    let restorer = Restorer::new(&o);
-    let mut pair_dom = ProvisionedDomain::new(&o);
-    pair_dom.provision_all_pairs(&o).unwrap();
-    let mut merged_dom = ProvisionedDomain::new(&o);
-    merged_dom.provision_merged(&o).unwrap();
+    let mut raw_edge_restorations = 0;
+    for intra_pop_weight in [IspParams::default().intra_pop_weight, 12] {
+        let o = DenseBasePaths::build(
+            isp_with_intra_pop_weight(intra_pop_weight),
+            CostModel::new(Metric::Weighted, 11),
+        );
+        let g = o.graph().clone();
+        let restorer = Restorer::new(&o);
+        let mut pair_dom = ProvisionedDomain::new(&o);
+        pair_dom.provision_all_pairs(&o).unwrap();
+        let mut merged_dom = ProvisionedDomain::new(&o);
+        merged_dom.provision_merged(&o).unwrap();
 
-    assert!(merged_dom.net().total_ilm_entries() < pair_dom.net().total_ilm_entries());
+        assert!(merged_dom.net().total_ilm_entries() < pair_dom.net().total_ilm_entries());
 
-    let mut checked = 0;
-    for s in g.nodes().step_by(13) {
-        for t in g.nodes().step_by(7) {
-            if s == t {
-                continue;
+        let mut checked = 0;
+        for s in g.nodes().step_by(13) {
+            for t in g.nodes().step_by(7) {
+                if s == t {
+                    continue;
+                }
+                // Identical base forwarding.
+                let none = FailureSet::new();
+                let a = pair_dom.forward(s, t, &none).unwrap();
+                let b = merged_dom.forward(s, t, &none).unwrap();
+                assert_eq!(a.route(), b.route());
+                // Identical restoration behavior after one and two link
+                // failures.
+                let base = o.base_path(s, t).unwrap();
+                let links = base.edges();
+                let (Some(&first), Some(&last)) = (links.first(), links.last()) else {
+                    continue;
+                };
+                for failures in [
+                    FailureSet::of_edge(first),
+                    FailureSet::of_edges([first, last]),
+                ] {
+                    let Ok(r) = restorer.restore(s, t, &failures) else {
+                        continue;
+                    };
+                    pair_dom.apply_source_restoration(&r).unwrap();
+                    merged_dom.apply_source_restoration_merged(&r).unwrap();
+                    let a = pair_dom.forward(s, t, &failures).unwrap();
+                    let b = merged_dom.forward(s, t, &failures).unwrap();
+                    assert_eq!(a.route(), r.backup.nodes());
+                    assert_eq!(b.route(), r.backup.nodes());
+                    if r.concatenation.raw_edge_count() > 0 {
+                        raw_edge_restorations += 1;
+                    }
+                    checked += 1;
+                }
             }
-            // Identical base forwarding.
-            let none = FailureSet::new();
-            let a = pair_dom.forward(s, t, &none).unwrap();
-            let b = merged_dom.forward(s, t, &none).unwrap();
-            assert_eq!(a.route(), b.route());
-            // Identical restoration behavior after a failure.
-            let base = o.base_path(s, t).unwrap();
-            if base.is_trivial() {
-                continue;
-            }
-            let failed = base.edges()[0];
-            let failures = FailureSet::of_edge(failed);
-            let Ok(r) = restorer.restore(s, t, &failures) else {
-                continue;
-            };
-            pair_dom.apply_source_restoration(&r).unwrap();
-            merged_dom.apply_source_restoration_merged(&r).unwrap();
-            let a = pair_dom.forward(s, t, &failures).unwrap();
-            let b = merged_dom.forward(s, t, &failures).unwrap();
-            assert_eq!(a.route(), r.backup.nodes());
-            assert_eq!(b.route(), r.backup.nodes());
-            checked += 1;
         }
+        assert!(
+            checked >= 20,
+            "intra-PoP weight {intra_pop_weight}: only {checked} restorations checked"
+        );
     }
-    assert!(checked >= 10, "only {checked} pairs checked");
+    assert!(
+        raw_edge_restorations > 0,
+        "no checked restoration crossed a raw edge"
+    );
 }
 
 /// The hybrid scheme on the ISP: phase 1 is instant and correct, phase 2
