@@ -18,6 +18,12 @@
 //!   and a failure bitmask), the full-tree path the stores run now; the
 //!   bench gate holds it ≥ 1.5× faster than `clone_repair` on
 //!   `powerlaw_5000`.
+//! * `repair_path_large` (`powerlaw_5000`) — the shape of one
+//!   restoration: [`CsrGraph::repair_path`] under the cut at the 99th
+//!   percentile of subtree size (32 nodes on this map), toward the
+//!   detached node at the region's median depth, so the search settles
+//!   part of the region and stops once the target settles. Reported, not
+//!   gated.
 //! * `event_paths` (`isp_200`, `gnm_1000`) — one failure event's
 //!   restorations from one source: the base-path store's `path_under` to
 //!   every target the failure detaches, in index order. The failed edge
@@ -100,12 +106,22 @@ fn bench_spt_repair(c: &mut Criterion) {
         g.bench_function(format!("{name}/csr_repair"), |b| {
             b.iter(|| csr.repair_tree(&base, black_box(&mask)).0)
         });
+        let sized = subtrees_by_size(&base);
         if name == "powerlaw_5000" {
+            // The median cut detaches about one node; a restoration's
+            // repair searches a larger region toward one target.
+            let (_, cut, below) = sized[sized.len() * 99 / 100];
+            let mask = FailureMask::from_set(&csr, &FailureSet::of_edge(cut));
+            let mut region = base.subtree(below);
+            region.sort_by_key(|&v| (base.path_to(v).map_or(0, |p| p.edges().len()), v));
+            let target = region[region.len() / 2];
+            g.bench_function(format!("{name}/repair_path_large"), |b| {
+                b.iter(|| csr.repair_path(&base, black_box(&mask), target).0)
+            });
             continue;
         }
         // The median cut detaches a single node; an event that breaks
         // many LSPs cuts at the 90th percentile of subtree size.
-        let sized = subtrees_by_size(&base);
         let (_, cut, below) = sized[sized.len() * 9 / 10];
         let failures = FailureSet::of_edge(cut);
         let mut targets = base.subtree(below);

@@ -584,6 +584,11 @@ fn fill_slots(slots: &[OnceLock<ShortestPathTree>], shard: Shard) -> usize {
 fn record_repair_work(work: RepairWork) {
     obs_record!("spt.repair.nodes_touched", work.nodes_touched as u64);
     obs_record!("spt.repair.settled", work.settled as u64);
+    // Padded costs make shortest paths unique, so this stays 0; a tie
+    // would make the repaired tree depend on the kernel's pop order. A
+    // resumed call reports its run's ties so far, so only zero versus
+    // non-zero is meaningful.
+    obs_count!("graph.ties", work.ties as u64);
     // Silence unused-variable lint when the obs feature is off.
     let _ = work;
 }

@@ -17,7 +17,8 @@
 //!   traversal tests a bit instead of probing two ordered sets per half-edge;
 //! * [`DijkstraScratch`] — a reusable arena holding one 32-byte working
 //!   record per node (so a relaxation touches one cache line, not four
-//!   parallel arrays) plus a heap of 16-byte node-packed keys, with
+//!   parallel arrays) plus a queue of `u32` node ids bucketed by base
+//!   distance (the `level` module, which the repair kernel shares), with
 //!   epoch-stamped visited marks so resetting between runs is O(1);
 //! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
 //!   [`CsrGraph::resume_path`] — the failure-repair kernel every
@@ -43,11 +44,11 @@
 
 use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{CostModel, EdgeId, FailureSet, Graph, NodeId, Path, ShortestPathTree};
+use level::LevelQueue;
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 pub mod batch;
+mod level;
 mod repair;
 
 pub use batch::SptBatchScratch;
@@ -104,25 +105,12 @@ struct HalfEdge {
     edge: u32,
 }
 
-/// Low-bit mask covering every legal node id (`MAX_NODES` is a power of
-/// two, so ids fit in `MAX_NODES - 1`).
-const NODE_MASK: u128 = (CostModel::MAX_NODES - 1) as u128;
-
-/// Packs a node id into the low bits of its perturbed distance, making a
-/// 16-byte heap entry instead of a 32-byte `(dist, node)` pair.
-///
-/// The packing overwrites the low 20 perturbation bits, so pop order can
-/// differ from exact-distance order only between keys equal in the top
-/// 108 bits — i.e. distances within `2^20` of each other. Every edge
-/// weight is at least `1 << 64` (zero base weights are rejected at
-/// construction), so no path through a node popped later can improve a
-/// node popped earlier: the relaxation would add `>= 2^64`, dwarfing the
-/// `< 2^21` key skew. Settle *order* may therefore differ from the
-/// sequential implementation, but every settled distance — and hence the
-/// tree — is bit-identical.
+/// The base (original-metric) half of a perturbed distance: the key of
+/// the kernels' [`LevelQueue`]. Base distances stay below 2⁵² (fewer
+/// than 2²⁰ hops of `u32` weights), so nothing is cut off.
 #[inline]
-fn heap_key(dist: u128, node: u32) -> u128 {
-    (dist & !NODE_MASK) | node as u128
+fn level_of(dist: u128) -> u64 {
+    (dist >> 64) as u64
 }
 
 impl CsrGraph {
@@ -200,7 +188,7 @@ impl CsrGraph {
     /// and identical weights, and every perturbed weight carries a
     /// non-zero base weight in the high 64 bits (hence is at least `2^64`
     /// — the padding discipline Theorem 3's uniqueness argument and the
-    /// packed heap keys both rely on).
+    /// base-distance level queues all rely on).
     ///
     /// O(n + m); intended for `debug_assert!` and the validation
     /// harnesses (`rbpc-eval validate`, `tests/csr_parallel.rs`).
@@ -581,6 +569,11 @@ impl CsrGraph {
     /// `stop` returns true. Returns whether it did, or `false` once every
     /// reachable node settled. Either way `scratch` holds this run's
     /// records.
+    ///
+    /// The frontier is the scratch's [`LevelQueue`], keyed by base
+    /// distance: a pad-only improvement rewrites the record in place, and
+    /// an exact tie (`nd` equal to a touched node's distance) is counted
+    /// in [`DijkstraScratch::ties_total`].
     fn settle_until<F, S>(
         &self,
         s: usize,
@@ -597,8 +590,9 @@ impl CsrGraph {
         let ep_done = ep + 1;
         let DijkstraScratch {
             nodes: recs,
-            heap,
+            queue,
             settled_total,
+            ties_total,
             ..
         } = scratch;
         recs[s] = NodeRec {
@@ -607,16 +601,17 @@ impl CsrGraph {
             parent_node: NO_NODE,
             parent_edge: NO_EDGE,
         };
-        heap.push(Reverse(heap_key(0, s as u32)));
+        queue.begin(0);
+        queue.push(0, s as u32);
 
         // lint:hot: the settle loop of every scalar search. The cold stop
         // exit drops out of the region so the caller can read the records
         // freely.
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if recs[u].stamp == ep_done {
-                continue;
-            }
+        while let Some(un) = queue.pop(|v, lvl| {
+            let rec = &recs[v as usize];
+            rec.stamp == ep && level_of(rec.dist) == lvl
+        }) {
+            let u = un as usize;
             let d = recs[u].dist;
             recs[u].stamp = ep_done;
             *settled_total += 1;
@@ -636,14 +631,23 @@ impl CsrGraph {
                     continue;
                 }
                 let nd = d + he.weight;
-                if rec.stamp != ep || nd < rec.dist {
-                    rec.dist = nd;
-                    rec.stamp = ep;
-                    // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                    rec.parent_node = u as u32;
-                    rec.parent_edge = he.edge;
-                    // lint:allow(hot-path) — the scratch heap keeps its capacity across runs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
+                let first = rec.stamp != ep;
+                if first || nd < rec.dist {
+                    // Queue the node unless only pad bits improved: its
+                    // entry at this level is still live.
+                    let lower = first || level_of(nd) < level_of(rec.dist);
+                    *rec = NodeRec {
+                        dist: nd,
+                        stamp: ep,
+                        parent_node: un,
+                        parent_edge: he.edge,
+                    };
+                    if lower {
+                        // lint:allow(hot-path) — the queue's buckets keep their capacity across runs; pushes are amortized alloc-free
+                        queue.push(level_of(nd), vt);
+                    }
+                } else if nd == rec.dist {
+                    *ties_total += 1;
                 }
             }
         }
@@ -822,9 +826,11 @@ const EMPTY_REC: NodeRec = NodeRec {
     parent_edge: 0,
 };
 
-/// Reusable Dijkstra working memory: one record per node plus the heap,
-/// with epoch-stamped visited marks, so a fresh run only clears the heap
-/// and bumps an epoch — O(1) — instead of refilling O(n) arrays.
+/// Reusable Dijkstra working memory: one record per node plus a
+/// base-distance level queue (see the `level` module) whose buckets keep
+/// their capacity across runs, with epoch-stamped visited marks, so a
+/// fresh run only bumps an epoch and empties the queue instead of
+/// refilling O(n) arrays.
 ///
 /// One scratch serves any number of runs over graphs up to its capacity
 /// (it grows on demand). Not `Sync`: use one per thread (see
@@ -834,32 +840,28 @@ pub struct DijkstraScratch {
     /// Current run stamp, always even; steps by 2 per run.
     epoch: u32,
     nodes: Vec<NodeRec>,
-    heap: BinaryHeap<Reverse<u128>>,
+    queue: LevelQueue,
     runs: u64,
     settled_total: u64,
+    ties_total: u64,
 }
 
 impl DijkstraScratch {
     /// A scratch arena with capacity for `n`-node graphs (grows on demand).
-    ///
-    /// The heap is pre-reserved from the node count — the lazy-deletion
-    /// heap holds one entry per relaxation (typically a small multiple of
-    /// `n`), and starting from zero capacity used to force a reallocation
-    /// cascade inside the first run of every fresh scratch.
     pub fn new(n: usize) -> Self {
         DijkstraScratch {
             epoch: 0,
             nodes: vec![EMPTY_REC; n],
-            heap: BinaryHeap::with_capacity(n),
+            queue: LevelQueue::default(),
             runs: 0,
             settled_total: 0,
+            ties_total: 0,
         }
     }
 
-    /// Prepares for a run over an `n`-node graph: bumps the epoch (handling
-    /// wrap-around), grows buffers if needed, clears the heap. The heap's
-    /// capacity is carried across runs (and grown alongside `nodes`), so a
-    /// reused scratch never reallocates mid-sweep.
+    /// Prepares for a run over an `n`-node graph: bumps the epoch
+    /// (handling wrap-around) and grows the records if needed; the run
+    /// empties the queue itself.
     fn begin(&mut self, n: usize) {
         if self.nodes.len() < n {
             self.nodes.resize(n, EMPTY_REC);
@@ -869,10 +871,6 @@ impl DijkstraScratch {
             // u32 wrapped after ~2 billion runs: old stamps could collide.
             self.nodes.iter_mut().for_each(|r| r.stamp = 0);
             self.epoch = 2;
-        }
-        self.heap.clear();
-        if self.heap.capacity() < n {
-            self.heap.reserve(n - self.heap.len());
         }
         self.runs += 1;
     }
@@ -888,6 +886,15 @@ impl DijkstraScratch {
     #[inline]
     pub fn settled_total(&self) -> u64 {
         self.settled_total
+    }
+
+    /// Exact ties across all runs: relaxations whose distance equals the
+    /// touched target's distance exactly, reached through a different
+    /// parent. Padded costs make every shortest path unique, so this
+    /// stays 0; a tie would make the settled tree depend on pop order.
+    #[inline]
+    pub fn ties_total(&self) -> u64 {
+        self.ties_total
     }
 }
 
@@ -1148,29 +1155,26 @@ mod tests {
     }
 
     #[test]
-    fn scalar_heap_is_preallocated_and_capacity_is_stable() {
+    fn scalar_queue_capacity_is_stable() {
         let g = random_graph(80, 220, 13);
         let model = CostModel::new(Metric::Weighted, 11);
         let csr = CsrGraph::new(&g, &model);
         let mut scratch = DijkstraScratch::new(csr.node_count());
-        assert!(
-            scratch.heap.capacity() >= csr.node_count(),
-            "heap must be reserved from the node count, not empty"
-        );
-        // Warm one full sweep (the lazy heap can outgrow n via duplicate
-        // entries), then assert an identical sweep reuses that capacity.
+        // Warm one full sweep, then assert an identical sweep reuses the
+        // queue's bucket capacity.
         for s in g.nodes() {
             let _ = csr.full_tree(s, &mut scratch);
         }
-        let cap = scratch.heap.capacity();
+        let cap = scratch.queue.capacity();
         for s in g.nodes() {
             let _ = csr.full_tree(s, &mut scratch);
         }
         assert_eq!(
-            scratch.heap.capacity(),
+            scratch.queue.capacity(),
             cap,
             "reused scratch must not reallocate mid-sweep"
         );
+        assert_eq!(scratch.ties_total(), 0, "padded shortest paths are unique");
     }
 
     #[test]

@@ -11,11 +11,9 @@
 //!   precomputed `u128` weight is derivable from 12 bytes;
 //! * it re-evaluates the failure-mask predicate (two bitset probes) for
 //!   every half-edge of every source;
-//! * its `BinaryHeap<Reverse<u128>>` has no decrease-key: every
-//!   improvement pushes a fresh 16-byte entry, so the heap holds (and
-//!   later pops and discards) one stale duplicate per improvement — and
-//!   every entry carries the full 128-bit perturbed distance through
-//!   every sift.
+//! * its level queue has no decrease-key: a node that moves to a lower
+//!   base distance is queued again and leaves a stale entry behind for a
+//!   later pop to discard.
 //!
 //! This module is the batch-shaped replacement:
 //!
@@ -67,9 +65,10 @@
 //! distance by at least `1 << 64` — more than any pad difference can
 //! recover. Relaxations still compare full `u128` distances, so the
 //! settled values (and the harvested tree) are **bit-identical** to the
-//! scalar path; only the settle *order* may differ, exactly as it
-//! already may between the scalar heap and the general-graph path (see
-//! [`heap_key`](super::CsrGraph)). Perturbed padded costs make every
+//! scalar path; only the settle *order* may differ. The scalar and
+//! repair kernels' level queue (the `level` module) rests on this same
+//! argument, so all three Dijkstra kernels pop same-base nodes in
+//! arbitrary order. Perturbed padded costs make every
 //! shortest path unique ([`CostModel`]), so no
 //! harvested array depends on settle order. `tests/spt_batch.rs` at the
 //! repository root pins this across topology families × failure masks ×
@@ -79,7 +78,7 @@
 //!
 //! The scratch counts frontier pushes, pops, and decrease-keys across
 //! its lifetime; a heavy-weight source counts one push and one pop per
-//! settled node and no decrease-keys (the scalar heap has none).
+//! settled node and no decrease-keys (the scalar queue has none).
 //! [`par_all_sources_csr`](crate::par::par_all_sources_csr)
 //! surfaces the totals through [`ParStats`](crate::par::ParStats), and
 //! the core crate records them as `core.provision.heap_*` obs counters,
@@ -280,16 +279,16 @@ impl SptBatchScratch {
 
     /// Frontier pops across all runs. With decrease-key every pop
     /// settles a node, so this always equals
-    /// [`settled_total`](Self::settled_total) — the scalar lazy-deletion
-    /// heap pops strictly more.
+    /// [`settled_total`](Self::settled_total) — the scalar level queue
+    /// also pops the stale entries a lower-level move leaves behind.
     #[inline]
     pub fn heap_pops(&self) -> u64 {
         self.heap_pops
     }
 
     /// Improvements of an already-queued node across all runs — each one
-    /// is a relaxation that the scalar path would have turned into a
-    /// duplicate heap entry plus a stale pop. Here it is at most an
+    /// that lowers the base distance is a relaxation the scalar path
+    /// turns into a duplicate queue entry plus a stale pop. Here it is at most an
     /// in-place re-key (and not even that when only pad bits improved:
     /// the base-distance key is unchanged, so the frontier needs no work
     /// at all). A heavy-weight batch's scalar search counts none.

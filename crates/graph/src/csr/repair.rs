@@ -16,14 +16,18 @@
 //!    outside the region, whose distance is final.
 //! 4. **Settle** — Dijkstra restricted to the region, over the packed
 //!    half-edges (perturbed weights precomputed) with one
-//!    [`FailureMask`] bit test per half-edge, the packed [`heap_key`] and
-//!    the settled-stamp discipline of the full-tree kernel. A settled
-//!    node's edges are relaxed before the loop checks for the target, so
-//!    the heap it leaves behind is a valid Dijkstra frontier.
+//!    [`FailureMask`] bit test per half-edge, the settled-stamp
+//!    discipline of the full-tree kernel, and the scalar kernel's
+//!    base-distance level queue (the `level` module), floored at the
+//!    region's shallowest base distance: a seed or relaxation queues a
+//!    node only when it is first reached or moves to a lower level, and a
+//!    pad-only improvement rewrites its record in place. A settled node's
+//!    edges are relaxed before the loop checks for the target, so the
+//!    queue it leaves behind is a valid Dijkstra frontier.
 //! 5. **Resume** — [`CsrGraph::resume_path`] keeps that frontier. A later
 //!    call for the same tree and the same failures skips steps 1–3: it
 //!    reads the path at once when its target has settled or lies outside
-//!    the region, and otherwise pops the same heap until the target
+//!    the region, and otherwise pops the same queue until the target
 //!    settles. One failure event's restorations from one source thus
 //!    cost at most one full repair between them.
 //!
@@ -53,12 +57,10 @@
 //! rebuild; `tests/spt_repair.rs` and `tests/repair_resume.rs` at the
 //! repository root pin this.
 
-use super::{for_each_bit, heap_key, CsrGraph, FailureMask, NodeRec, EMPTY_REC, NODE_MASK};
+use super::{for_each_bit, level_of, CsrGraph, FailureMask, LevelQueue, NodeRec, EMPTY_REC};
 use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{EdgeId, NodeId, Path, ShortestPathTree};
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What one [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
@@ -73,6 +75,12 @@ pub struct RepairWork {
     /// ones for a full tree, fewer when a target settles early. A resumed
     /// call counts every node its run has settled so far.
     pub settled: usize,
+    /// Exact ties met so far this run: a seed or relaxation whose
+    /// distance equals a region node's tentative distance exactly,
+    /// reached through a different parent. Padded costs make every
+    /// shortest path unique, so this stays 0; a tie would make the
+    /// repaired tree depend on the queue's pop order.
+    pub ties: usize,
     /// Whether the call resumed the previous call's run instead of
     /// starting a fresh one.
     pub resumed: bool,
@@ -129,9 +137,9 @@ impl ResumeKey {
 }
 
 /// Working memory of the repair kernel, one per thread: a 32-byte
-/// record per node, the heap, the children index (`first_kid[p]` heads
-/// `p`'s children, `next_kid[v]` links `v` to its next sibling), the
-/// region list, and the key of the run a later call may resume.
+/// record per node, the level queue, the children index (`first_kid[p]`
+/// heads `p`'s children, `next_kid[v]` links `v` to its next sibling),
+/// the region list, and the key of the run a later call may resume.
 ///
 /// Record stamps step by 4 per run: `epoch` marks a region node with no
 /// distance yet, `epoch + 1` a region node with a tentative distance,
@@ -141,13 +149,15 @@ impl ResumeKey {
 struct RepairArena {
     epoch: u32,
     recs: Vec<NodeRec>,
-    heap: BinaryHeap<Reverse<u128>>,
+    queue: LevelQueue,
     first_kid: Vec<u32>,
     next_kid: Vec<u32>,
     region: Vec<u32>,
     stack: Vec<u32>,
     /// Region nodes settled so far this run.
     settled: usize,
+    /// Exact ties met so far this run.
+    ties: usize,
     /// Whether `key` names the run the arena holds; the key's buffers
     /// are kept for reuse while it does not.
     resumable: bool,
@@ -166,10 +176,10 @@ impl RepairArena {
             self.recs.iter_mut().for_each(|r| r.stamp = 0);
             self.epoch = 4;
         }
-        self.heap.clear();
         self.region.clear();
         self.stack.clear();
         self.settled = 0;
+        self.ties = 0;
     }
 
     /// Whether the arena holds the run of `owner`'s tree of `source`
@@ -182,6 +192,7 @@ impl RepairArena {
         RepairWork {
             nodes_touched: self.region.len(),
             settled: self.settled,
+            ties: self.ties,
             resumed,
         }
     }
@@ -382,11 +393,12 @@ impl CsrGraph {
         let ep_seen = ep + 1;
         let RepairArena {
             recs,
-            heap,
+            queue,
             first_kid,
             next_kid,
             region,
             stack,
+            ties,
             ..
         } = arena;
 
@@ -409,6 +421,11 @@ impl CsrGraph {
                 }
             }
         });
+        // Every region node's repaired distance is at least its base
+        // distance, which is at least its subtree root's: the queue's
+        // floor.
+        let floor = stack.iter().map(|&v| level_of(base.dist[v as usize])).min();
+        queue.begin(floor.unwrap_or(0));
         if stack.is_empty() {
             return;
         }
@@ -460,17 +477,19 @@ impl CsrGraph {
                         parent_node: he.target,
                         parent_edge: he.edge,
                     };
+                } else if nd == recs[ai].dist {
+                    *ties += 1;
                 }
             }
             if recs[ai].stamp == ep_seen {
-                heap.push(Reverse(heap_key(recs[ai].dist, a)));
+                queue.push(level_of(recs[ai].dist), a);
             }
         }
     }
 
     /// Settles the arena's region in Dijkstra order until `stop` settles
-    /// or the heap empties. Every settled node's edges are relaxed before
-    /// the loop checks for `stop`, so the heap stays a valid frontier and
+    /// or the queue empties. Every settled node's edges are relaxed before
+    /// the loop checks for `stop`, so the queue stays a valid frontier and
     /// a later call may continue from it.
     fn settle(
         &self,
@@ -481,14 +500,14 @@ impl CsrGraph {
     ) {
         let ep = arena.epoch;
         let (ep_seen, ep_done) = (ep + 1, ep + 2);
-        let RepairArena { recs, heap, .. } = arena;
-        let mut settled = 0usize;
+        let RepairArena { recs, queue, .. } = arena;
+        let (mut settled, mut ties) = (0usize, 0usize);
         // lint:hot: the settle loop — every restoration's repair runs here.
-        while let Some(Reverse(key)) = heap.pop() {
-            let u = (key & NODE_MASK) as usize;
-            if recs[u].stamp == ep_done {
-                continue;
-            }
+        while let Some(un) = queue.pop(|v, lvl| {
+            let rec = &recs[v as usize];
+            rec.stamp == ep_seen && level_of(rec.dist) == lvl
+        }) {
+            let u = un as usize;
             recs[u].stamp = ep_done;
             settled += 1;
             let d = recs[u].dist;
@@ -500,16 +519,23 @@ impl CsrGraph {
                     continue;
                 }
                 let nd = d + he.weight;
-                if rec.stamp == ep || nd < rec.dist {
+                let first = rec.stamp == ep;
+                if first || nd < rec.dist {
+                    // Queue the node unless only pad bits improved: its
+                    // entry at this level is still live.
+                    let lower = first || level_of(nd) < level_of(rec.dist);
                     *rec = NodeRec {
                         dist: nd,
                         stamp: ep_seen,
-                        // lint:allow(hot-path) — node ids are < n ≤ u32::MAX by CsrGraph construction; `u as u32` cannot truncate
-                        parent_node: u as u32,
+                        parent_node: un,
                         parent_edge: he.edge,
                     };
-                    // lint:allow(hot-path) — the thread's arena heap keeps its capacity across repairs; pushes are amortized alloc-free
-                    heap.push(Reverse(heap_key(nd, vt)));
+                    if lower {
+                        // lint:allow(hot-path) — the thread's arena queue keeps its bucket capacity across repairs; pushes are amortized alloc-free
+                        queue.push(level_of(nd), vt);
+                    }
+                } else if nd == rec.dist {
+                    ties += 1;
                 }
             }
             if u == stop {
@@ -517,6 +543,7 @@ impl CsrGraph {
             }
         }
         arena.settled += settled;
+        arena.ties += ties;
     }
 }
 

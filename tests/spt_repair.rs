@@ -6,20 +6,25 @@
 //! same parents — and identical to the scalar reference
 //! [`repair_after_failures`]. The kernel's settle loop never leaves a
 //! node closer than before the failure (deletions only lengthen paths);
-//! every repaired tree here is checked for that in release mode. Uses the
-//! in-tree [`DetRng`], so it runs in offline builds (unlike the
-//! proptest-gated suites).
+//! every repaired tree here is checked for that in release mode. The
+//! kernels pop nodes of one base distance in arbitrary order, which is
+//! exact only while shortest paths are unique, so every repair here must
+//! also meet no exact tie. A graph with base weights up to `u32::MAX`
+//! runs the kernels' level queue past its window. Uses the in-tree
+//! [`DetRng`], so it runs in offline builds (unlike the proptest-gated
+//! suites).
 
 use mpls_rbpc::graph::{
-    repair_after_failures, shortest_path_tree, CostModel, CsrGraph, DetRng, EdgeId, FailureMask,
-    FailureSet, Graph, Metric, NodeId, RepairWork, ShortestPathTree,
+    repair_after_failures, shortest_path, shortest_path_tree, CostModel, CsrGraph, DetRng,
+    DijkstraScratch, EdgeId, FailureMask, FailureSet, Graph, Metric, NodeId, RepairWork,
+    ShortestPathTree, TreeOwner,
 };
 use mpls_rbpc::sim::{churn_sequence, ChurnEvent};
 use mpls_rbpc::topo::{gnm_connected, internet_like_scaled, isp_topology, IspParams};
 
 /// Repairs `base` on the CSR kernel under `failures`, asserts the result
-/// equals a rebuild over the failed view and is nowhere shorter than
-/// `base`, and returns it. Recoveries need no repair of their own: the
+/// equals a rebuild over the failed view, is nowhere shorter than `base`
+/// and met no exact tie, and returns it. Recoveries need no repair of their own: the
 /// failure set after a recovery is repaired from the unfailed base like
 /// any other.
 fn repair_equals_rebuild(
@@ -37,6 +42,7 @@ fn repair_equals_rebuild(
         tree.perturbed_dist(v).unwrap_or(u128::MAX) >= base.perturbed_dist(v).unwrap_or(u128::MAX)
     });
     assert!(never_shorter, "{case}: a failure shortened a path");
+    assert_eq!(work.ties, 0, "{case}: padded shortest paths tied");
     (tree, work)
 }
 
@@ -190,6 +196,7 @@ fn assert_csr_repair_matches(name: &str, graph: &Graph, seed: u64, sources: &[us
             for t in detached {
                 let (path, w) = csr.repair_path(&base, &mask, t);
                 assert_eq!(path, tree.path_to(t), "{case}: path to {t}");
+                assert_eq!(w.ties, 0, "{case}: target {t}");
                 if !set.node_failed(t) {
                     assert_eq!(w.nodes_touched, work.nodes_touched, "{case}: target {t}");
                     assert!(w.settled <= work.settled, "{case}: target {t}");
@@ -216,4 +223,99 @@ fn csr_repair_matches_engine_on_gnm_1000() {
 fn csr_repair_matches_engine_on_power_law() {
     let graph = internet_like_scaled(1_200, 13);
     assert_csr_repair_matches("powerlaw_1200", &graph, 33, &[0, 600]);
+}
+
+/// A connected graph whose base weights reach `u32::MAX`, mixed with
+/// weight-1 and weight-2 links, so base distances jump across many
+/// windows of the kernels' level queue.
+fn heavy_graph(n: usize, m: usize, seed: u64) -> Graph {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let weight = |rng: &mut DetRng| match rng.gen_range(0..4u32) {
+        0 => rng.gen_range(1..=2u32),
+        1 => u32::MAX - rng.gen_range(0..2u32),
+        _ => rng.gen_range(1..=u32::MAX),
+    };
+    let mut g = Graph::new(n);
+    for v in 1..n {
+        let u = rng.gen_range(0..v);
+        g.add_edge(u, v, weight(&mut rng)).unwrap();
+    }
+    while g.edge_count() < m {
+        let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+        if a != b {
+            g.add_edge(a, b, weight(&mut rng)).unwrap();
+        }
+    }
+    g
+}
+
+/// The spill path of the level queue: on [`heavy_graph`], the repair
+/// kernel's three entry points equal the scalar reference and a masked
+/// rebuild, and the scalar kernel's `full_tree_masked`,
+/// `point_to_point` and `longest_tree_prefix` equal the reference
+/// trees, all with no exact tie.
+#[test]
+fn heavy_weights_spill_past_the_level_window() {
+    let graph = heavy_graph(80, 200, 41);
+    let model = CostModel::new(Metric::Weighted, 41);
+    let csr = CsrGraph::new(&graph, &model);
+    let mut scratch = DijkstraScratch::new(graph.node_count());
+    let owner = TreeOwner::new();
+    let mut rng = DetRng::seed_from_u64(41);
+    let unfailed: Vec<ShortestPathTree> = graph
+        .nodes()
+        .map(|v| shortest_path_tree(&graph, &model, v))
+        .collect();
+    for source in [0, 40, 79] {
+        let s = NodeId::new(source);
+        let base = &unfailed[source];
+        assert_eq!(&csr.full_tree(s, &mut scratch), base, "source {source}");
+        for set in failure_sets(&graph, base, &mut rng) {
+            let case = format!("heavy: source {source}, failures {set:?}");
+            let view = set.view(&graph);
+            let mut links: Vec<EdgeId> = set.failed_edges().collect();
+            for v in set.failed_nodes() {
+                links.extend(graph.neighbors(v).map(|h| h.edge));
+            }
+            let mut reference = base.clone();
+            repair_after_failures(&mut reference, &view, &model, &links);
+            let (tree, _) = repair_equals_rebuild(&case, &graph, &csr, &model, base, &set);
+            assert_eq!(
+                tree, reference,
+                "{case}: CSR tree differs from the reference's"
+            );
+            let mask = FailureMask::from_set(&csr, &set);
+            let masked = csr.full_tree_masked(s, Some(&mask), &mut scratch);
+            assert_eq!(masked, tree, "{case}: full_tree_masked");
+            for t in graph.nodes() {
+                let want = tree.path_to(t);
+                let (path, work) = csr.repair_path(base, &mask, t);
+                assert_eq!(path, want, "{case}: repair_path to {t}");
+                let (resumed, rwork) = csr.resume_path(base, &mask, t, &owner);
+                assert_eq!(resumed, want, "{case}: resume_path to {t}");
+                assert_eq!((work.ties, rwork.ties), (0, 0), "{case}: target {t}");
+                let p2p = csr.point_to_point(s, t, Some(&mask), &mut scratch);
+                assert_eq!(p2p, shortest_path(&view, &model, s, t), "{case}: to {t}");
+                assert_eq!(p2p, want, "{case}: point_to_point to {t}");
+            }
+            // Backup paths leave the unfailed trees of their interior
+            // nodes, so their prefixes end anywhere along them.
+            for path in graph.nodes().filter_map(|t| tree.path_to(t)) {
+                let (nodes, edges) = (path.nodes(), path.edges());
+                let last = nodes.len() - 1;
+                for from in 0..=last {
+                    let start = &unfailed[nodes[from].index()];
+                    let mut want = from;
+                    while want < last
+                        && start.is_tree_step(nodes[want], edges[want], nodes[want + 1])
+                    {
+                        want += 1;
+                    }
+                    let (got, _) = csr.longest_tree_prefix(&path, from);
+                    assert_eq!(got, want, "{case}: prefix from {from} of {path:?}");
+                }
+            }
+        }
+    }
+    assert_eq!(scratch.ties_total(), 0, "padded shortest paths tied");
 }
