@@ -1,14 +1,17 @@
 //! Micro-bench: the batched multi-source SPT kernel against the scalar
 //! per-source loop — same topologies, same source lists, so bench-gate
-//! can assert the decrease-key kernel's speedup directly
+//! can assert the unit-weight sweep's speedup directly
 //! (`spt_batch/powerlaw_5000/batched` vs `spt_batch/powerlaw_5000/scalar`).
+//! The weighted rows (`isp_200`, `gnm_1000`) run the scalar loop in
+//! both columns: a weighted batch runs it per source.
 //!
 //! Each row provisions the same 32-source batch: `scalar` loops
 //! [`CsrGraph::full_tree`] with a reused [`DijkstraScratch`] (the exact
 //! shape the provisioning sweep had before the batch kernel), `batched`
 //! runs [`CsrGraph::full_tree_batch`] with a reused [`SptBatchScratch`].
 //! Trees are bit-identical either way (asserted once per family before
-//! timing); only the heap discipline and memory layout differ.
+//! timing); on the unit-weight row only the frontier and memory layout
+//! differ.
 
 use rbpc_bench::{criterion_group, criterion_main, Criterion};
 use rbpc_graph::{CostModel, CsrGraph, DijkstraScratch, Metric, NodeId, SptBatchScratch};

@@ -160,13 +160,17 @@ fn record_par_stats(stats: &ParStats) {
     for &settled in &stats.settled {
         obs_record!("core.provision.settled_per_thread", settled);
     }
-    // Frontier traffic of the batched SPT kernel: pops equal settles by
-    // construction (decrease-key, no duplicate entries), so any gap
-    // between pushes and decrease-keys in live telemetry is the
-    // duplicate-pop work the batch kernel eliminated.
-    obs_count!("core.provision.heap_pushes", stats.total_heap_pushes());
-    obs_count!("core.provision.heap_pops", stats.total_heap_pops());
+    // Frontier traffic of the batch kernel, counted as one push and one
+    // pop per settled node: the unit sweep queues each touched node once
+    // and every touched node settles. The names stay because the
+    // benchmark's `graph.csr.heap_pops` layer and the loadtest window
+    // JSONL read them. `decrease_keys` counts the unit sweep's pad-only
+    // rewrites, so weighted provisioning records none; ties stay 0 (see
+    // `record_repair_work`).
+    obs_count!("core.provision.heap_pushes", stats.total_settled());
+    obs_count!("core.provision.heap_pops", stats.total_settled());
     obs_count!("core.provision.decrease_keys", stats.total_decrease_keys());
+    obs_count!("graph.ties", stats.total_ties());
     // Silence unused-variable lint when the obs feature is off.
     let _ = stats;
 }

@@ -101,7 +101,6 @@ fn affected_restore_records_the_pinned_metric_names_and_counts() {
         built,
         [
             "core.provision.chunk_claims",
-            "core.provision.decrease_keys",
             "core.provision.heap_pops",
             "core.provision.heap_pushes",
             "core.provision.scratch_reuses",

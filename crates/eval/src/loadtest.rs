@@ -128,15 +128,16 @@ pub struct WindowStats {
     /// Concatenation-depth digest (segments per restoration).
     pub depth: HistogramSummary,
     /// Cumulative provisioning-frontier pushes at window close (the
-    /// `core.provision.heap_pushes` obs counter; 0 with obs off).
+    /// `core.provision.heap_pushes` obs counter; 0 with obs off): one per
+    /// node the provisioning batches settled.
     pub heap_pushes: u64,
-    /// Cumulative provisioning-frontier pops at window close. With the
-    /// batched decrease-key kernel this equals nodes settled — a pop
-    /// surplus in a window means the scalar fallback ran.
+    /// Cumulative provisioning-frontier pops at window close (the
+    /// `core.provision.heap_pops` obs counter): one per settled node, so
+    /// it equals `heap_pushes`.
     pub heap_pops: u64,
-    /// Cumulative in-place decrease-keys at window close — relaxations
-    /// that the pre-batch scalar heap would have turned into duplicate
-    /// entries and stale pops.
+    /// Cumulative pad-only record rewrites of the unit-weight sweep at
+    /// window close (the `core.provision.decrease_keys` obs counter);
+    /// weighted provisioning adds none.
     pub decrease_keys: u64,
 }
 

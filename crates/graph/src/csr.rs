@@ -31,9 +31,10 @@
 //!   known (greedy decomposition's question on a store that does not
 //!   hold that tree), sharing [`CsrGraph::point_to_point`]'s settle loop;
 //! * [`batch`] — the batched multi-source kernel ([`SptBatchScratch`],
-//!   [`CsrGraph::full_tree_batch`]): a compacted adjacency and
-//!   decrease-key level queues or bucket ring for provisioning sweeps,
-//!   where one scratch serves a whole batch of sources.
+//!   [`CsrGraph::full_tree_batch`]) for provisioning sweeps, where one
+//!   scratch serves a whole batch of sources: a unit-weight batch sweeps
+//!   two level queues over a compacted adjacency, and any other batch
+//!   runs the scalar loop per source.
 //!
 //! Determinism: the perturbed costs make shortest paths unique (see
 //! [`CostModel`]), so the tree produced by [`CsrGraph::full_tree`] is

@@ -161,17 +161,11 @@ pub struct ParStats {
     pub settled: Vec<u64>,
     /// Dijkstra runs each thread served from its one scratch arena.
     pub scratch_runs: Vec<u64>,
-    /// Heap insertions per thread — with the decrease-key kernel, exactly
-    /// one per touched node (the lazy-deletion heap pushed one per
-    /// *improvement*).
-    pub heap_pushes: Vec<u64>,
-    /// Heap pops per thread — equals that thread's settled count under
-    /// decrease-key; the surplus the scalar heap used to pop and discard
-    /// is gone.
-    pub heap_pops: Vec<u64>,
-    /// In-place key decreases per thread: improvements absorbed without a
-    /// duplicate heap entry.
+    /// The unit-weight sweep's pad-only record rewrites per thread (see
+    /// [`SptBatchScratch::decrease_keys`]); 0 for weighted batches.
     pub decrease_keys: Vec<u64>,
+    /// Exact ties per thread (see [`SptBatchScratch::ties_total`]).
+    pub ties: Vec<u64>,
 }
 
 impl ParStats {
@@ -190,19 +184,14 @@ impl ParStats {
         self.scratch_runs.iter().map(|&r| r.saturating_sub(1)).sum()
     }
 
-    /// Total heap insertions across all threads.
-    pub fn total_heap_pushes(&self) -> u64 {
-        self.heap_pushes.iter().sum()
-    }
-
-    /// Total heap pops across all threads.
-    pub fn total_heap_pops(&self) -> u64 {
-        self.heap_pops.iter().sum()
-    }
-
-    /// Total in-place key decreases across all threads.
+    /// Total pad-only record rewrites across all threads.
     pub fn total_decrease_keys(&self) -> u64 {
         self.decrease_keys.iter().sum()
+    }
+
+    /// Total exact ties across all threads.
+    pub fn total_ties(&self) -> u64 {
+        self.ties.iter().sum()
     }
 
     /// Appends one thread's lanes: the chunks it claimed and its
@@ -211,9 +200,8 @@ impl ParStats {
         self.chunk_claims.push(claims);
         self.settled.push(scratch.settled_total());
         self.scratch_runs.push(scratch.runs());
-        self.heap_pushes.push(scratch.heap_pushes());
-        self.heap_pops.push(scratch.heap_pops());
         self.decrease_keys.push(scratch.decrease_keys());
+        self.ties.push(scratch.ties_total());
     }
 }
 
@@ -239,11 +227,11 @@ pub const PAR_SERIAL_CUTOFF: usize = 1_000;
 /// requested, or forced by the [`PAR_SERIAL_CUTOFF`] on small graphs —
 /// the whole list runs as one batch on the caller's thread.
 ///
-/// Every chunk runs through the batched decrease-key kernel
-/// ([`CsrGraph::full_tree_batch`]) on its worker's one
-/// [`SptBatchScratch`]; the returned [`ParStats`] carry per-thread heap
-/// push/pop/decrease-key totals so callers can surface the kernel's
-/// traffic as metrics.
+/// Every chunk runs through the batch kernel
+/// ([`CsrGraph::full_tree_batch`]: the unit-weight sweep, or the scalar
+/// loop for a weighted batch) on its worker's one [`SptBatchScratch`];
+/// the returned [`ParStats`] carry per-thread settled, pad-rewrite and
+/// tie totals so callers can surface the kernel's work as metrics.
 ///
 /// # Panics
 ///
@@ -313,34 +301,39 @@ mod tests {
             .iter()
             .map(|&s| shortest_path_tree(&g, &model, s))
             .collect();
+        let reached = want
+            .iter()
+            .map(|t| g.nodes().filter(|&v| t.reachable(v)).count() as u64)
+            .sum::<u64>();
         for threads in [1usize, 2, 3, 8] {
             let (got, stats) = par_all_sources_csr(&csr, None, &sources, threads);
             assert_eq!(got, want, "threads = {threads}");
             assert_eq!(stats.threads, 1, "below the cutoff the run is inline");
             assert_eq!(stats.total_chunks_claimed(), stats.chunks as u64);
             assert_eq!(stats.scratch_runs.iter().sum::<u64>(), 60);
-            assert!(stats.total_settled() > 0);
-            assert_eq!(
-                stats.total_heap_pops(),
-                stats.total_settled(),
-                "decrease-key pops exactly once per settle"
-            );
-            assert_eq!(stats.total_heap_pushes(), stats.total_settled());
-            assert!(stats.total_decrease_keys() > 0);
+            assert_eq!(stats.total_settled(), reached);
+            assert_eq!(stats.total_decrease_keys(), 0, "a weighted batch");
+            assert_eq!(stats.total_ties(), 0, "padded shortest paths are unique");
         }
     }
 
+    /// The lanes the core crate records as `core.provision.heap_*`,
+    /// `core.provision.decrease_keys` and `graph.ties`.
     #[test]
     fn heap_stats_cover_every_thread() {
         let g = random_graph(PAR_SERIAL_CUTOFF, 3 * PAR_SERIAL_CUTOFF, 6);
-        let model = CostModel::new(Metric::Weighted, 5);
+        let model = CostModel::new(Metric::Unweighted, 5);
         let csr = CsrGraph::new(&g, &model);
         let sources: Vec<NodeId> = (0..24).map(|i| NodeId::new(i * 40)).collect();
         let (_, stats) = par_all_sources_csr(&csr, None, &sources, 2);
-        assert_eq!(stats.heap_pushes.len(), stats.threads);
-        assert_eq!(stats.heap_pops.len(), stats.threads);
+        assert_eq!(stats.settled.len(), stats.threads);
         assert_eq!(stats.decrease_keys.len(), stats.threads);
-        assert_eq!(stats.total_heap_pops(), stats.total_settled());
+        assert_eq!(stats.ties.len(), stats.threads);
+        assert!(
+            stats.total_decrease_keys() > 0,
+            "the unit sweep improves pads"
+        );
+        assert_eq!(stats.total_ties(), 0);
     }
 
     #[test]

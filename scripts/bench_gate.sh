@@ -74,9 +74,11 @@ CSR_SPEEDUP="csr_dijkstra/powerlaw_5000/full_tree,dijkstra/powerlaw_5000/full_tr
 RECORDER_OVERHEAD="flight_recorder/isp_200/restore_on,flight_recorder/isp_200/restore_off,0.90"
 
 # The batched SPT kernel's claim: a 32-source provisioning batch through
-# `full_tree_batch` (slim compacted edges, decrease-key frontier, packed
-# records) beats the scalar per-source `full_tree` loop by at least 1.3x
-# on both gated topologies. Both rows are single-threaded, so unlike the
+# `full_tree_batch` (8-byte compacted edges, a two-level-queue sweep,
+# packed records) beats the scalar per-source `full_tree` loop by at
+# least 1.3x on both gated topologies. gnm_1000 is weighted, so its
+# `batched` row runs the scalar loop per source and times the same loop
+# as its `scalar` row. Both rows are single-threaded, so unlike the
 # par_provision rules below this ratio is core-count independent and
 # needs no nproc gate — it must hold even on a 1-core runner (min_ns
 # comparison filters scheduler noise).
