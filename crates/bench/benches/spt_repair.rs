@@ -24,6 +24,11 @@
 //!   detached node at the region's median depth, so the search settles
 //!   part of the region and stops once the target settles. Reported, not
 //!   gated.
+//! * `repair_path_1k` (`powerlaw_5000`) — the same search in the tree of
+//!   the first source that has a subtree of at least 1 000 nodes (source
+//!   1; source 0 is a hub), under the cut above the smallest such subtree
+//!   (1 334 nodes), the region size of a fresh repair on a 4 000-node map
+//!   with every tree resident. Reported, not gated.
 //! * `event_paths` (`isp_200`, `gnm_1000`) — one failure event's
 //!   restorations from one source: the base-path store's `path_under` to
 //!   every target the failure detaches, in index order. The failed edge
@@ -109,15 +114,32 @@ fn bench_spt_repair(c: &mut Criterion) {
         let sized = subtrees_by_size(&base);
         if name == "powerlaw_5000" {
             // The median cut detaches about one node; a restoration's
-            // repair searches a larger region toward one target.
-            let (_, cut, below) = sized[sized.len() * 99 / 100];
-            let mask = FailureMask::from_set(&csr, &FailureSet::of_edge(cut));
-            let mut region = base.subtree(below);
-            region.sort_by_key(|&v| (base.path_to(v).map_or(0, |p| p.edges().len()), v));
-            let target = region[region.len() / 2];
-            g.bench_function(format!("{name}/repair_path_large"), |b| {
-                b.iter(|| csr.repair_path(&base, black_box(&mask), target).0)
-            });
+            // repair searches a larger region toward one target. The
+            // smallest subtree of 1 000 nodes or more is the size of a
+            // fresh repair on a 4 000-node map with every tree resident;
+            // source 0 is a hub whose subtrees stay below 600 nodes, so
+            // that row repairs the tree of the first source that has one.
+            let (resident, resident_cut) = (1..graph.node_count())
+                .find_map(|s| {
+                    let tree = shortest_path_tree(graph, &model, NodeId::new(s));
+                    let cut = *subtrees_by_size(&tree)
+                        .iter()
+                        .find(|&&(size, _, _)| size >= 1_000)?;
+                    Some((tree, cut))
+                })
+                .expect("a subtree of 1 000 nodes");
+            for (row, base, (_, cut, below)) in [
+                ("repair_path_large", &base, sized[sized.len() * 99 / 100]),
+                ("repair_path_1k", &resident, resident_cut),
+            ] {
+                let mask = FailureMask::from_set(&csr, &FailureSet::of_edge(cut));
+                let mut region = base.subtree(below);
+                region.sort_by_key(|&v| (base.path_to(v).map_or(0, |p| p.edges().len()), v));
+                let target = region[region.len() / 2];
+                g.bench_function(format!("{name}/{row}"), |b| {
+                    b.iter(|| csr.repair_path(base, black_box(&mask), target).0)
+                });
+            }
             continue;
         }
         // The median cut detaches a single node; an event that breaks

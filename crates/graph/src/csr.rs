@@ -15,21 +15,27 @@
 //!   no hashing and no mixing;
 //! * [`FailureMask`] — a bitset mirror of [`FailureSet`] so the masked
 //!   traversal tests a bit instead of probing two ordered sets per half-edge;
-//! * [`DijkstraScratch`] — a reusable arena holding one 32-byte working
-//!   record per node (so a relaxation touches one cache line, not four
-//!   parallel arrays) plus a queue of `u32` node ids bucketed by base
-//!   distance (the `level` module, which the repair kernel shares), with
-//!   epoch-stamped visited marks so resetting between runs is O(1);
+//! * [`DijkstraScratch`] — the one arena of every settle run: one
+//!   32-byte working record per node (so a relaxation touches one cache
+//!   line, not four parallel arrays) plus a queue of `u32` node ids
+//!   bucketed by base distance (the `level` module), with epoch-stamped
+//!   records so resetting between runs is O(1);
+//! * one settle loop — pop, settle, relax the live half-edges, count
+//!   exact ties, then ask the caller whether to stop — behind every
+//!   search: [`CsrGraph::full_tree_masked`], [`CsrGraph::point_to_point`]
+//!   and [`CsrGraph::longest_tree_prefix`] (how far a path follows the
+//!   tree of one of its nodes, greedy decomposition's question on a
+//!   store that does not hold that tree) run it over the whole graph;
 //! * [`CsrGraph::repair_tree`] / [`CsrGraph::repair_path`] /
 //!   [`CsrGraph::resume_path`] — the failure-repair kernel every
-//!   restoration runs: it re-settles only the subtrees a failure detaches
-//!   from a provisioned tree, with a target stops once the target
-//!   settles, and under a [`TreeOwner`] resumes the last run of the same
-//!   tree and failures (see the `repair` module);
-//! * [`CsrGraph::longest_tree_prefix`] — how far a path follows the tree
-//!   of one of its nodes, from a Dijkstra that stops once the answer is
-//!   known (greedy decomposition's question on a store that does not
-//!   hold that tree), sharing [`CsrGraph::point_to_point`]'s settle loop;
+//!   restoration runs: it seeds the subtrees a failure detaches from a
+//!   provisioned tree and runs the same loop over that region only,
+//!   with a target stops once the target settles, and under a
+//!   [`TreeOwner`] resumes the last run of the same tree and failures
+//!   (see the `repair` module). Padded costs make the post-failure path
+//!   unique, so a repair and a search from scratch are the same
+//!   Dijkstra run from different seeds. Every path either returns is
+//!   read back by one parent-chain walk;
 //! * [`batch`] — the batched multi-source kernel ([`SptBatchScratch`],
 //!   [`CsrGraph::full_tree_batch`]) for provisioning sweeps, where one
 //!   scratch serves a whole batch of sources: a unit-weight batch sweeps
@@ -47,6 +53,7 @@ use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{CostModel, EdgeId, FailureSet, Graph, NodeId, Path, ShortestPathTree};
 use level::LevelQueue;
 use std::cell::RefCell;
+use std::thread::LocalKey;
 
 pub mod batch;
 mod level;
@@ -417,21 +424,26 @@ impl CsrGraph {
         }
         // Monomorphize the settle loop per mask-ness: the unmasked copy
         // compiles the predicate away entirely.
-        let s = source.index();
+        scratch.begin_at(self.n, source.index());
         match mask {
-            Some(m) => self.settle_until(s, scratch, |e, v| m.half_edge_masked(e, v), |_, _| false),
-            None => self.settle_until(s, scratch, |_, _| false, |_, _| false),
+            Some(m) => self.settle::<false, _, _>(
+                scratch,
+                &[],
+                |e, v| m.half_edge_masked(e, v),
+                |_, _| false,
+            ),
+            None => self.settle::<false, _, _>(scratch, &[], |_, _| false, |_, _| false),
         };
 
         // Harvest: after a full run every touched node is settled, so the
-        // odd stamp alone separates reached from unreachable. One
+        // settled stamp alone separates reached from unreachable. One
         // sequential pass writes each output element exactly once.
         let n = self.n;
-        let done = scratch.epoch + 1;
+        let done = scratch.epoch + 2;
         let mut dist = Vec::with_capacity(n);
         let mut parent_edge = Vec::with_capacity(n);
         let mut parent_node = Vec::with_capacity(n);
-        for rec in &scratch.nodes[..n] {
+        for rec in &scratch.recs[..n] {
             if rec.stamp == done {
                 dist.push(rec.dist);
                 parent_edge.push(rec.parent_edge);
@@ -470,40 +482,19 @@ impl CsrGraph {
         if s == t {
             return Some(Path::trivial(s));
         }
-        match mask {
-            Some(m) => self.point_to_point_inner(s, t, scratch, |e, v| m.half_edge_masked(e, v)),
-            None => self.point_to_point_inner(s, t, scratch, |_, _| false),
-        }
-    }
-
-    /// The point-to-point search: [`CsrGraph::settle_until`] stopping at
-    /// `t`, then the parent chain read back from the scratch.
-    fn point_to_point_inner<F: Fn(u32, u32) -> bool>(
-        &self,
-        s: NodeId,
-        t: NodeId,
-        scratch: &mut DijkstraScratch,
-        masked: F,
-    ) -> Option<Path> {
         let ti = t.index();
-        if !self.settle_until(s.index(), scratch, masked, |u, _| u == ti) {
-            return None;
-        }
-
-        // Walk the parent chain back from `t` (cold: runs once per query).
-        let recs = &scratch.nodes;
-        let mut nodes = vec![t];
-        let mut edges = Vec::new();
-        let mut at = ti;
-        while recs[at].parent_node != NO_NODE {
-            edges.push(EdgeId::new(recs[at].parent_edge as usize));
-            let pn = recs[at].parent_node as usize;
-            nodes.push(NodeId::new(pn));
-            at = pn;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(nodes, edges))
+        scratch.begin_at(self.n, s.index());
+        let reached = match mask {
+            Some(m) => self.settle::<false, _, _>(
+                scratch,
+                &[],
+                |e, v| m.half_edge_masked(e, v),
+                |u, _| u == ti,
+            ),
+            None => self.settle::<false, _, _>(scratch, &[], |_, _| false, |u, _| u == ti),
+        };
+        let recs = &scratch.recs;
+        reached.then(|| Path::from_parent_chain(t, |v| (recs[v].parent_node, recs[v].parent_edge)))
     }
 
     /// How far `path` runs along the canonical shortest-path tree of its
@@ -522,8 +513,10 @@ impl CsrGraph {
     /// and the early answer is exact. Greedy decomposition asks exactly
     /// this question of a tree it does not hold.
     ///
-    /// Runs on this thread's scratch, allocating nothing once it has
-    /// grown to the graph.
+    /// Runs on this thread's probe scratch, which is not the repair
+    /// kernel's, so a probe between two [`CsrGraph::resume_path`] calls
+    /// leaves the repair resumable. Allocates nothing once the scratch
+    /// has grown to the graph.
     ///
     /// # Panics
     ///
@@ -538,156 +531,131 @@ impl CsrGraph {
         if from == last {
             return (from, 0);
         }
-        with_scratch(|scratch| {
+        with_local(&PROBE, |scratch: &mut DijkstraScratch| {
             let before = scratch.settled_total;
+            scratch.begin_at(self.n, source);
+            let done = scratch.epoch + 2;
             let mut j = from;
-            self.settle_until(
-                source,
+            self.settle::<false, _, _>(
                 scratch,
+                &[],
                 |_, _| false,
-                |u, run| {
+                |u, recs| {
                     if u != nodes[j + 1].index() {
                         return false;
                     }
                     let step = (nodes[j].index() as u32, edges[j].index() as u32);
-                    if run.parent(u) != step {
+                    if (recs[u].parent_node, recs[u].parent_edge) != step {
                         return true;
                     }
                     j += 1;
-                    j == last || run.settled(nodes[j + 1].index())
+                    j == last || recs[nodes[j + 1].index()].stamp == done
                 },
             );
             (j, (scratch.settled_total - before) as usize)
         })
     }
 
-    /// The one scalar settle loop, behind [`CsrGraph::full_tree_masked`]
-    /// (whose `stop` never fires), [`CsrGraph::point_to_point`] and
-    /// [`CsrGraph::longest_tree_prefix`]: Dijkstra from `s` in `scratch`,
-    /// keeping distances and parents only, generic over the half-edge
-    /// mask predicate. Each node `u` is handed to `stop(u, run)` as it
-    /// settles, before its edges are relaxed; the search ends as soon as
-    /// `stop` returns true. Returns whether it did, or `false` once every
-    /// reachable node settled. Either way `scratch` holds this run's
-    /// records.
+    /// The one settle loop of the CSR kernel: Dijkstra over the run
+    /// `scratch` holds, from the level queue its caller seeded. Each
+    /// popped node settles and relaxes its live half-edges (`masked`
+    /// names the dead ones); a relaxation queues a node only when it is
+    /// first reached or drops to a lower level, rewrites a pad-only
+    /// improvement in place, and counts an exact tie. Then `stop(u,
+    /// records)` is asked, and the loop ends once it says yes. Returns
+    /// whether it did, or `false` once the queue emptied. Relaxing before
+    /// the stop check leaves the queue a valid frontier, which
+    /// [`CsrGraph::resume_path`] continues from.
     ///
-    /// The frontier is the scratch's [`LevelQueue`], keyed by base
-    /// distance: a pad-only improvement rewrites the record in place, and
-    /// an exact tie (`nd` equal to a touched node's distance) is counted
-    /// in [`DijkstraScratch::ties_total`].
-    fn settle_until<F, S>(
+    /// `REGION` is the one difference between the forms. A whole-graph
+    /// run ([`CsrGraph::full_tree_masked`], [`CsrGraph::point_to_point`],
+    /// [`CsrGraph::longest_tree_prefix`]) reads a stamp below the run's
+    /// epoch as "not reached yet". A repair reads it as "outside the
+    /// detached region" and skips the node; there `floor` is the base
+    /// tree's distances, which a repaired distance never undercuts.
+    // lint:hot: the settle loop — every search and every restoration's
+    // repair runs here.
+    fn settle<const REGION: bool, F, S>(
         &self,
-        s: usize,
         scratch: &mut DijkstraScratch,
+        floor: &[u128],
         masked: F,
         mut stop: S,
     ) -> bool
     where
         F: Fn(u32, u32) -> bool,
-        S: FnMut(usize, Settled<'_>) -> bool,
+        S: FnMut(usize, &[NodeRec]) -> bool,
     {
-        scratch.begin(self.n);
         let ep = scratch.epoch;
-        let ep_done = ep + 1;
+        let (ep_seen, ep_done) = (ep + 1, ep + 2);
         let DijkstraScratch {
-            nodes: recs,
+            recs,
             queue,
             settled_total,
             ties_total,
             ..
         } = scratch;
-        recs[s] = NodeRec {
-            dist: 0,
-            stamp: ep,
-            parent_node: NO_NODE,
-            parent_edge: NO_EDGE,
-        };
-        queue.begin(0);
-        queue.push(0, s as u32);
-
-        // lint:hot: the settle loop of every scalar search. The cold stop
-        // exit drops out of the region so the caller can read the records
-        // freely.
+        let (mut settled, mut ties) = (0u64, 0u64);
+        let mut stopped = false;
         while let Some(un) = queue.pop(|v, lvl| {
             let rec = &recs[v as usize];
-            rec.stamp == ep && level_of(rec.dist) == lvl
+            rec.stamp == ep_seen && level_of(rec.dist) == lvl
         }) {
             let u = un as usize;
             let d = recs[u].dist;
             recs[u].stamp = ep_done;
-            *settled_total += 1;
-            let run = Settled {
-                recs,
-                done: ep_done,
-            };
-            if stop(u, run) {
-                return true;
+            settled += 1;
+            if REGION {
+                debug_assert!(d >= floor[u], "a deletion shortened a path");
             }
-            // lint:allow(hot-path) — `offsets` has n+1 entries, so `u + 1` is in bounds for every settled node id
-            let (lo, hi) = (self.offsets[u] as usize, self.offsets[u + 1] as usize);
-            for he in &self.half[lo..hi] {
+            for he in self.half_edges(u) {
                 let vt = he.target;
                 let rec = &mut recs[vt as usize];
-                if rec.stamp == ep_done || masked(he.edge, vt) {
+                if (REGION && rec.stamp < ep) || rec.stamp == ep_done || masked(he.edge, vt) {
                     continue;
                 }
                 let nd = d + he.weight;
-                let first = rec.stamp != ep;
+                let first = rec.stamp < ep_seen;
                 if first || nd < rec.dist {
                     // Queue the node unless only pad bits improved: its
                     // entry at this level is still live.
                     let lower = first || level_of(nd) < level_of(rec.dist);
                     *rec = NodeRec {
                         dist: nd,
-                        stamp: ep,
+                        stamp: ep_seen,
                         parent_node: un,
                         parent_edge: he.edge,
                     };
                     if lower {
-                        // lint:allow(hot-path) — the queue's buckets keep their capacity across runs; pushes are amortized alloc-free
+                        // lint:allow(hot-path) — the arena's queue keeps its bucket capacity across runs; pushes are amortized alloc-free
                         queue.push(level_of(nd), vt);
                     }
                 } else if nd == rec.dist {
-                    *ties_total += 1;
+                    ties += 1;
                 }
             }
+            if stop(u, recs) {
+                stopped = true;
+                break;
+            }
         }
-        false
+        *settled_total += settled;
+        *ties_total += ties;
+        stopped
     }
 }
 
-/// A [`CsrGraph::settle_until`] run as its stop callback sees it.
-struct Settled<'a> {
-    recs: &'a [NodeRec],
-    /// The settled stamp of this run.
-    done: u32,
+thread_local! {
+    /// This thread's scratch for [`CsrGraph::longest_tree_prefix`].
+    static PROBE: RefCell<DijkstraScratch> = RefCell::default();
 }
 
-impl Settled<'_> {
-    /// Whether `v` has settled in this run.
-    #[inline]
-    fn settled(&self, v: usize) -> bool {
-        self.recs[v].stamp == self.done
-    }
-
-    /// `(parent node, parent edge)` of `v` as last relaxed — final once
-    /// `v` has settled.
-    #[inline]
-    fn parent(&self, v: usize) -> (u32, u32) {
-        (self.recs[v].parent_node, self.recs[v].parent_edge)
-    }
-}
-
-/// Runs `f` with this thread's [`DijkstraScratch`] for
-/// [`CsrGraph::longest_tree_prefix`]; a re-entrant call gets a fresh one
-/// instead of panicking.
-fn with_scratch<R>(f: impl FnOnce(&mut DijkstraScratch) -> R) -> R {
-    thread_local! {
-        static SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new(0));
-    }
-    SCRATCH.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut scratch) => f(&mut scratch),
-        Err(_) => f(&mut DijkstraScratch::new(0)),
+/// Runs `f` with this thread's instance in `key`; a re-entrant call gets
+/// a fresh one instead of panicking.
+fn with_local<T: Default, R>(key: &'static LocalKey<RefCell<T>>, f: impl FnOnce(&mut T) -> R) -> R {
+    key.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut local) => f(&mut local),
+        Err(_) => f(&mut T::default()),
     })
 }
 
@@ -809,8 +777,10 @@ impl FailureMask {
 #[derive(Debug, Clone, Copy)]
 struct NodeRec {
     dist: u128,
-    /// Merged epoch stamp: `== epoch` ⇔ touched (`dist` valid this run),
-    /// `== epoch + 1` ⇔ settled this run, anything else stale.
+    /// Run stamp, relative to the arena's epoch: below it stale (not
+    /// reached yet, or outside a repair's region), `epoch` a region node
+    /// with no distance yet, `epoch + 1` reached with a tentative `dist`,
+    /// `epoch + 2` settled.
     stamp: u32,
     parent_node: u32,
     parent_edge: u32,
@@ -827,20 +797,21 @@ const EMPTY_REC: NodeRec = NodeRec {
     parent_edge: 0,
 };
 
-/// Reusable Dijkstra working memory: one record per node plus a
-/// base-distance level queue (see the `level` module) whose buckets keep
-/// their capacity across runs, with epoch-stamped visited marks, so a
-/// fresh run only bumps an epoch and empties the queue instead of
-/// refilling O(n) arrays.
+/// Reusable Dijkstra working memory, the arena of every CSR settle run:
+/// one record per node plus a base-distance level queue (see the `level`
+/// module) whose buckets keep their capacity across runs, with
+/// epoch-stamped records, so a fresh run only bumps an epoch and empties
+/// the queue instead of refilling O(n) arrays. The repair kernel keeps
+/// one beside its region bookkeeping.
 ///
 /// One scratch serves any number of runs over graphs up to its capacity
 /// (it grows on demand). Not `Sync`: use one per thread (see
 /// [`par_all_sources_csr`](crate::par::par_all_sources_csr)).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct DijkstraScratch {
-    /// Current run stamp, always even; steps by 2 per run.
+    /// Current run stamp; steps by 4 per run (see `NodeRec::stamp`).
     epoch: u32,
-    nodes: Vec<NodeRec>,
+    recs: Vec<NodeRec>,
     queue: LevelQueue,
     runs: u64,
     settled_total: u64,
@@ -851,29 +822,41 @@ impl DijkstraScratch {
     /// A scratch arena with capacity for `n`-node graphs (grows on demand).
     pub fn new(n: usize) -> Self {
         DijkstraScratch {
-            epoch: 0,
-            nodes: vec![EMPTY_REC; n],
-            queue: LevelQueue::default(),
-            runs: 0,
-            settled_total: 0,
-            ties_total: 0,
+            recs: vec![EMPTY_REC; n],
+            ..Self::default()
         }
     }
 
-    /// Prepares for a run over an `n`-node graph: bumps the epoch
-    /// (handling wrap-around) and grows the records if needed; the run
-    /// empties the queue itself.
+    /// Starts a run over an `n`-node graph: grows the records if needed
+    /// and moves the epoch past every stamp a previous run wrote. The
+    /// caller seeds the queue.
     fn begin(&mut self, n: usize) {
-        if self.nodes.len() < n {
-            self.nodes.resize(n, EMPTY_REC);
+        if self.recs.len() < n {
+            self.recs.resize(n, EMPTY_REC);
         }
-        self.epoch = self.epoch.wrapping_add(2);
-        if self.epoch == 0 {
-            // u32 wrapped after ~2 billion runs: old stamps could collide.
-            self.nodes.iter_mut().for_each(|r| r.stamp = 0);
-            self.epoch = 2;
-        }
+        self.epoch = match self.epoch.checked_add(4) {
+            Some(ep) if ep <= u32::MAX - 2 => ep,
+            _ => {
+                // The stamps would wrap: clear them and start over.
+                self.recs.iter_mut().for_each(|r| r.stamp = 0);
+                4
+            }
+        };
         self.runs += 1;
+    }
+
+    /// Starts a whole-graph run from `s`: the source reached at distance
+    /// 0 and queued alone.
+    fn begin_at(&mut self, n: usize, s: usize) {
+        self.begin(n);
+        self.recs[s] = NodeRec {
+            dist: 0,
+            stamp: self.epoch + 1,
+            parent_node: NO_NODE,
+            parent_edge: NO_EDGE,
+        };
+        self.queue.begin(0);
+        self.queue.push(0, s as u32);
     }
 
     /// Number of runs served so far (reuses = `runs() - 1` for the first
@@ -902,7 +885,7 @@ impl DijkstraScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{shortest_path, shortest_path_tree, DetRng, Metric};
+    use crate::{repair_after_failures, shortest_path, shortest_path_tree, DetRng, Metric};
 
     fn sample() -> Graph {
         let mut g = Graph::new(5);
@@ -1180,17 +1163,76 @@ mod tests {
 
     #[test]
     fn epoch_wraparound_resets_stamps() {
+        // One run short of the wrap: the next run stamps just below
+        // u32::MAX and the one after it wraps.
+        const NEAR_WRAP: u32 = u32::MAX - 7;
         let g = sample();
         let model = CostModel::new(Metric::Weighted, 17);
         let csr = CsrGraph::new(&g, &model);
         let mut scratch = DijkstraScratch::new(csr.node_count());
-        // Force the epoch to the wrap boundary and verify runs stay correct.
-        scratch.epoch = u32::MAX - 1;
+        scratch.epoch = NEAR_WRAP;
         let want = shortest_path_tree(&g, &model, 0.into());
         for _ in 0..4 {
             let got = csr.full_tree(0.into(), &mut scratch);
             assert_eq!(got, want);
         }
-        assert!(scratch.epoch >= 1);
+        assert!(scratch.epoch < NEAR_WRAP, "the epoch wrapped");
+
+        // The repair arena and the probe scratch wrap by the same rule.
+        let g = random_graph(40, 90, 3);
+        let csr = CsrGraph::new(&g, &model);
+        let base = shortest_path_tree(&g, &model, 0.into());
+        let below = g
+            .nodes()
+            .filter(|&v| v != base.source())
+            .max_by_key(|&v| base.subtree(v).len())
+            .unwrap();
+        let cut = base.parent_edge(below).unwrap();
+        let set = FailureSet::of_edge(cut);
+        let mask = FailureMask::from_set(&csr, &set);
+        let mut want = base.clone();
+        repair_after_failures(&mut want, &set.view(&g), &model, &[cut]);
+        let region = base.subtree(below);
+        assert!(region.len() >= 3, "region {region:?}");
+        let arena_near_wrap = || repair::ARENA.with(|a| a.borrow_mut().core.epoch = NEAR_WRAP);
+        let arena_epoch = || repair::ARENA.with(|a| a.borrow().core.epoch);
+
+        // A fresh run stamps near the top; the resumable run after it
+        // wraps, and its resumed calls read across the wrap.
+        arena_near_wrap();
+        let (path, work) = csr.repair_path(&base, &mask, region[0]);
+        assert_eq!(path, want.path_to(region[0]));
+        assert!(!work.resumed && arena_epoch() > NEAR_WRAP);
+        let owner = TreeOwner::new();
+        let (path, work) = csr.resume_path(&base, &mask, region[1], &owner);
+        assert_eq!(path, want.path_to(region[1]));
+        assert!(!work.resumed && arena_epoch() < NEAR_WRAP);
+        for &t in &region {
+            let (path, work) = csr.resume_path(&base, &mask, t, &owner);
+            assert_eq!(path, want.path_to(t), "resumed to {t}");
+            assert!(work.resumed);
+        }
+        arena_near_wrap();
+        for _ in 0..2 {
+            assert_eq!(csr.repair_tree(&base, &mask).0, want);
+        }
+        assert!(arena_epoch() < NEAR_WRAP);
+
+        // Probes along a repaired path: one stamps near the top, the next
+        // wraps.
+        let path = want.path_to(region[region.len() - 1]).unwrap();
+        let tree = csr.full_tree(path.source(), &mut scratch);
+        let (nodes, edges) = (path.nodes(), path.edges());
+        let mut prefix = 0;
+        while prefix + 1 < nodes.len()
+            && tree.is_tree_step(nodes[prefix], edges[prefix], nodes[prefix + 1])
+        {
+            prefix += 1;
+        }
+        PROBE.with(|p| p.borrow_mut().epoch = NEAR_WRAP);
+        for _ in 0..2 {
+            assert_eq!(csr.longest_tree_prefix(&path, 0).0, prefix);
+        }
+        assert!(PROBE.with(|p| p.borrow().epoch) < NEAR_WRAP);
     }
 }

@@ -30,8 +30,8 @@
 //! * **the scalar loop** for every other batch. Compaction stops at the
 //!   first live half-edge whose base weight is not 1, and each source
 //!   runs [`CsrGraph::full_tree_masked`] on the scratch's
-//!   [`DijkstraScratch`] — the level-queue settle loop that point-to-point
-//!   searches share.
+//!   [`DijkstraScratch`] — the CSR kernel's one settle loop, which the
+//!   point-to-point searches and the failure repair share.
 //!
 //! # Why `u64` base-distance frontier keys are exact
 //!
@@ -48,8 +48,8 @@
 //! distance by at least `1 << 64` — more than any pad difference can
 //! recover. Relaxations still compare full `u128` distances, so the
 //! settled values (and the harvested tree) are **bit-identical** to the
-//! scalar path; only the settle *order* may differ. The scalar and
-//! repair kernels' level queue (the `level` module) rests on this same
+//! scalar path; only the settle *order* may differ. The level queue of
+//! the CSR settle loop (the `level` module) rests on this same
 //! argument, so every Dijkstra loop of the crate pops same-base nodes in
 //! arbitrary order. Perturbed padded costs make every
 //! shortest path unique ([`CostModel`]), so no

@@ -1,5 +1,5 @@
-//! The base-distance level queue the scalar and repair kernels settle
-//! from.
+//! The base-distance level queue the CSR settle loop pops, over the
+//! whole graph or a repair's region.
 //!
 //! Every perturbed weight is `(base << 64) | pad` with `base ≥ 1`, and
 //! pad sums never carry into the base half (see the

@@ -14,22 +14,23 @@
 //!    per-tree state is kept.
 //! 3. **Seeds** — each live region node enters at its best live neighbor
 //!    outside the region, whose distance is final.
-//! 4. **Settle** — Dijkstra restricted to the region, over the packed
-//!    half-edges (perturbed weights precomputed) with one
-//!    [`FailureMask`] bit test per half-edge, the settled-stamp
-//!    discipline of the full-tree kernel, and the scalar kernel's
-//!    base-distance level queue (the `level` module), floored at the
-//!    region's shallowest base distance: a seed or relaxation queues a
-//!    node only when it is first reached or moves to a lower level, and a
-//!    pad-only improvement rewrites its record in place. A settled node's
-//!    edges are relaxed before the loop checks for the target, so the
-//!    queue it leaves behind is a valid Dijkstra frontier.
+//! 4. **Settle** — the CSR settle loop in its region form: a stamp
+//!    below the run's epoch means "outside the region", so the loop
+//!    never leaves it. It pops the arena's base-distance level queue
+//!    (the `level` module), floored at the region's shallowest base
+//!    distance, tests one [`FailureMask`] bit per half-edge, queues a
+//!    node only when it is first reached or moves to a lower level, and
+//!    rewrites a pad-only improvement in place. A settled node's edges
+//!    are relaxed before the loop checks for the target, so the queue it
+//!    leaves behind is a valid Dijkstra frontier.
 //! 5. **Resume** — [`CsrGraph::resume_path`] keeps that frontier. A later
 //!    call for the same tree and the same failures skips steps 1–3: it
 //!    reads the path at once when its target has settled or lies outside
 //!    the region, and otherwise pops the same queue until the target
 //!    settles. One failure event's restorations from one source thus
-//!    cost at most one full repair between them.
+//!    cost at most one full repair between them. The arena is this
+//!    thread's own, apart from the prefix probe's scratch, so a probe
+//!    between two calls leaves the run resumable.
 //!
 //! The resume key is the pair ([`TreeOwner`], source) plus the mask's
 //! edge and node words, compared bit for bit — never an address or a
@@ -57,7 +58,7 @@
 //! rebuild; `tests/spt_repair.rs` and `tests/repair_resume.rs` at the
 //! repository root pin this.
 
-use super::{for_each_bit, level_of, CsrGraph, FailureMask, LevelQueue, NodeRec, EMPTY_REC};
+use super::{for_each_bit, level_of, with_local, CsrGraph, DijkstraScratch, FailureMask, NodeRec};
 use crate::spt::{NO_EDGE, NO_NODE};
 use crate::{EdgeId, NodeId, Path, ShortestPathTree};
 use std::cell::RefCell;
@@ -136,52 +137,37 @@ impl ResumeKey {
     }
 }
 
-/// Working memory of the repair kernel, one per thread: a 32-byte
-/// record per node, the level queue, the children index (`first_kid[p]`
-/// heads `p`'s children, `next_kid[v]` links `v` to its next sibling),
-/// the region list, and the key of the run a later call may resume.
+/// Working memory of the repair kernel, one per thread: the settle
+/// loop's arena (records, level queue, epoch and counts) plus the
+/// children index (`first_kid[p]` heads `p`'s children, `next_kid[v]`
+/// links `v` to its next sibling), the region list, and the key of the
+/// run a later call may resume.
 ///
-/// Record stamps step by 4 per run: `epoch` marks a region node with no
-/// distance yet, `epoch + 1` a region node with a tentative distance,
-/// `epoch + 2` a settled one; anything below `epoch` is outside the
-/// region this run.
+/// A fresh run stamps its region nodes with the arena's epoch, so a
+/// stamp below it means "outside the region" (see the settle loop).
 #[derive(Debug, Default)]
-struct RepairArena {
-    epoch: u32,
-    recs: Vec<NodeRec>,
-    queue: LevelQueue,
+pub(super) struct RepairArena {
+    pub(super) core: DijkstraScratch,
     first_kid: Vec<u32>,
     next_kid: Vec<u32>,
     region: Vec<u32>,
     stack: Vec<u32>,
-    /// Region nodes settled so far this run.
-    settled: usize,
-    /// Exact ties met so far this run.
-    ties: usize,
+    /// The core's settled and tie totals when the run began.
+    settled_from: u64,
+    ties_from: u64,
     /// Whether `key` names the run the arena holds; the key's buffers
     /// are kept for reuse while it does not.
     resumable: bool,
     key: ResumeKey,
 }
 
-impl RepairArena {
-    fn begin(&mut self, n: usize) {
-        self.resumable = false;
-        if self.recs.len() < n {
-            self.recs.resize(n, EMPTY_REC);
-        }
-        self.epoch = self.epoch.wrapping_add(4);
-        if self.epoch == 0 {
-            // Wrapped after ~10^9 runs: old stamps could collide.
-            self.recs.iter_mut().for_each(|r| r.stamp = 0);
-            self.epoch = 4;
-        }
-        self.region.clear();
-        self.stack.clear();
-        self.settled = 0;
-        self.ties = 0;
-    }
+thread_local! {
+    /// This thread's repair arena, apart from the prefix probe's scratch
+    /// so that a probe never drops a resumable run.
+    pub(super) static ARENA: RefCell<RepairArena> = RefCell::default();
+}
 
+impl RepairArena {
     /// Whether the arena holds the run of `owner`'s tree of `source`
     /// under exactly `mask`.
     fn holds(&self, owner: &TreeOwner, source: NodeId, mask: &FailureMask) -> bool {
@@ -191,61 +177,21 @@ impl RepairArena {
     fn work(&self, resumed: bool) -> RepairWork {
         RepairWork {
             nodes_touched: self.region.len(),
-            settled: self.settled,
-            ties: self.ties,
+            settled: (self.core.settled_total - self.settled_from) as usize,
+            ties: (self.core.ties_total - self.ties_from) as usize,
             resumed,
         }
     }
 
     /// Whether `v` settled in the last run.
     fn settled(&self, v: usize) -> bool {
-        self.recs[v].stamp == self.epoch + 2
+        self.core.recs[v].stamp == self.core.epoch + 2
     }
 
     /// Whether `v` was in the last run's detached region.
     fn in_region(&self, v: usize) -> bool {
-        self.recs[v].stamp >= self.epoch
+        self.core.recs[v].stamp >= self.core.epoch
     }
-
-    /// The repaired path to `t` after a targeted run: repaired entries
-    /// from the arena, the rest of the chain from `base`.
-    fn path_to(&self, base: &ShortestPathTree, t: NodeId) -> Option<Path> {
-        let ti = t.index();
-        if !self.settled(ti) && (self.in_region(ti) || !base.reachable(t)) {
-            return None;
-        }
-        let mut nodes = vec![t];
-        let mut edges = Vec::new();
-        let mut at = ti;
-        loop {
-            let (pn, pe) = if self.settled(at) {
-                (self.recs[at].parent_node, self.recs[at].parent_edge)
-            } else {
-                (base.parent_node[at], base.parent_edge[at])
-            };
-            if pn == NO_NODE {
-                break;
-            }
-            edges.push(EdgeId::new(pe as usize));
-            nodes.push(NodeId::new(pn as usize));
-            at = pn as usize;
-        }
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(nodes, edges))
-    }
-}
-
-/// Runs `f` with this thread's [`RepairArena`]; a re-entrant call gets a
-/// fresh one instead of panicking.
-fn with_arena<R>(f: impl FnOnce(&mut RepairArena) -> R) -> R {
-    thread_local! {
-        static ARENA: RefCell<RepairArena> = RefCell::new(RepairArena::default());
-    }
-    ARENA.with(|cell| match cell.try_borrow_mut() {
-        Ok(mut arena) => f(&mut arena),
-        Err(_) => f(&mut RepairArena::default()),
-    })
 }
 
 impl CsrGraph {
@@ -272,15 +218,16 @@ impl CsrGraph {
                 RepairWork::default(),
             );
         }
-        with_arena(|arena| {
+        with_local(&ARENA, |arena: &mut RepairArena| {
             self.detach(base, mask, arena);
-            self.settle(base, mask, usize::MAX, arena);
+            let masked = |e, v| mask.half_edge_masked(e, v);
+            self.settle::<true, _, _>(&mut arena.core, &base.dist, masked, |_, _| false);
             let work = arena.work(false);
             let mut tree = base.clone();
             for &v in &arena.region {
                 let vi = v as usize;
                 if arena.settled(vi) {
-                    let r = &arena.recs[vi];
+                    let r = &arena.core.recs[vi];
                     tree.settle(
                         NodeId::new(vi),
                         r.dist,
@@ -353,7 +300,7 @@ impl CsrGraph {
             return (None, RepairWork::default());
         }
         let ti = target.index();
-        with_arena(|arena| {
+        with_local(&ARENA, |arena: &mut RepairArena| {
             let resumed = owner.is_some_and(|o| arena.holds(o, source, mask));
             // Dropped while settling: a panic must not leave the key.
             arena.resumable = false;
@@ -361,7 +308,8 @@ impl CsrGraph {
                 self.detach(base, mask, arena);
             }
             if arena.in_region(ti) && !arena.settled(ti) {
-                self.settle(base, mask, ti, arena);
+                let masked = |e, v| mask.half_edge_masked(e, v);
+                self.settle::<true, _, _>(&mut arena.core, &base.dist, masked, |u, _| u == ti);
             }
             if let Some(owner) = owner {
                 if !resumed {
@@ -369,7 +317,18 @@ impl CsrGraph {
                 }
                 arena.resumable = true;
             }
-            (arena.path_to(base, target), arena.work(resumed))
+            let reached = arena.settled(ti) || (!arena.in_region(ti) && base.reachable(target));
+            let path = reached.then(|| {
+                let recs = &arena.core.recs;
+                Path::from_parent_chain(target, |v| {
+                    if arena.settled(v) {
+                        (recs[v].parent_node, recs[v].parent_edge)
+                    } else {
+                        (base.parent_node[v], base.parent_edge[v])
+                    }
+                })
+            });
+            (path, arena.work(resumed))
         })
     }
 
@@ -386,21 +345,30 @@ impl CsrGraph {
 
     /// Starts a fresh run in `arena`: detaches the region below every
     /// failed tree edge and seeds it from outside, ready for
-    /// [`settle`](CsrGraph::settle). The source must be alive.
+    /// the settle loop in its region form. The source must be alive.
     fn detach(&self, base: &ShortestPathTree, mask: &FailureMask, arena: &mut RepairArena) {
-        arena.begin(self.n);
-        let ep = arena.epoch;
+        arena.resumable = false;
+        arena.core.begin(self.n);
+        arena.settled_from = arena.core.settled_total;
+        arena.ties_from = arena.core.ties_total;
+        let ep = arena.core.epoch;
         let ep_seen = ep + 1;
         let RepairArena {
-            recs,
-            queue,
+            core,
             first_kid,
             next_kid,
             region,
             stack,
-            ties,
             ..
         } = arena;
+        let DijkstraScratch {
+            recs,
+            queue,
+            ties_total,
+            ..
+        } = core;
+        region.clear();
+        stack.clear();
 
         // Roots: the endpoints whose tree edge failed, and for a failed
         // router the router itself plus every neighbor it parents.
@@ -478,72 +446,13 @@ impl CsrGraph {
                         parent_edge: he.edge,
                     };
                 } else if nd == recs[ai].dist {
-                    *ties += 1;
+                    *ties_total += 1;
                 }
             }
             if recs[ai].stamp == ep_seen {
                 queue.push(level_of(recs[ai].dist), a);
             }
         }
-    }
-
-    /// Settles the arena's region in Dijkstra order until `stop` settles
-    /// or the queue empties. Every settled node's edges are relaxed before
-    /// the loop checks for `stop`, so the queue stays a valid frontier and
-    /// a later call may continue from it.
-    fn settle(
-        &self,
-        base: &ShortestPathTree,
-        mask: &FailureMask,
-        stop: usize,
-        arena: &mut RepairArena,
-    ) {
-        let ep = arena.epoch;
-        let (ep_seen, ep_done) = (ep + 1, ep + 2);
-        let RepairArena { recs, queue, .. } = arena;
-        let (mut settled, mut ties) = (0usize, 0usize);
-        // lint:hot: the settle loop — every restoration's repair runs here.
-        while let Some(un) = queue.pop(|v, lvl| {
-            let rec = &recs[v as usize];
-            rec.stamp == ep_seen && level_of(rec.dist) == lvl
-        }) {
-            let u = un as usize;
-            recs[u].stamp = ep_done;
-            settled += 1;
-            let d = recs[u].dist;
-            debug_assert!(d >= base.dist[u], "a deletion shortened a path");
-            for he in self.half_edges(u) {
-                let vt = he.target;
-                let rec = &mut recs[vt as usize];
-                if rec.stamp < ep || rec.stamp == ep_done || mask.half_edge_masked(he.edge, vt) {
-                    continue;
-                }
-                let nd = d + he.weight;
-                let first = rec.stamp == ep;
-                if first || nd < rec.dist {
-                    // Queue the node unless only pad bits improved: its
-                    // entry at this level is still live.
-                    let lower = first || level_of(nd) < level_of(rec.dist);
-                    *rec = NodeRec {
-                        dist: nd,
-                        stamp: ep_seen,
-                        parent_node: un,
-                        parent_edge: he.edge,
-                    };
-                    if lower {
-                        // lint:allow(hot-path) — the thread's arena queue keeps its bucket capacity across repairs; pushes are amortized alloc-free
-                        queue.push(level_of(nd), vt);
-                    }
-                } else if nd == rec.dist {
-                    ties += 1;
-                }
-            }
-            if u == stop {
-                break;
-            }
-        }
-        arena.settled += settled;
-        arena.ties += ties;
     }
 }
 

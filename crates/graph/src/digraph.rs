@@ -150,30 +150,11 @@ impl DiGraph {
     ///
     /// Panics if `source` is out of range.
     pub fn distances(&self, source: NodeId, failed: Option<ArcId>) -> Vec<Option<u64>> {
-        let n = self.node_count();
-        assert!(source.index() < n, "source {source} out of range");
-        let mut dist: Vec<Option<u64>> = vec![None; n];
-        let mut settled = vec![false; n];
-        let mut heap: BinaryHeap<(Reverse<u64>, u32)> = BinaryHeap::new();
-        dist[source.index()] = Some(0);
-        heap.push((Reverse(0), source.index() as u32));
-        while let Some((Reverse(d), ui)) = heap.pop() {
-            if settled[ui as usize] {
-                continue;
-            }
-            settled[ui as usize] = true;
-            for &(v, a) in &self.out[ui as usize] {
-                if Some(a) == failed {
-                    continue;
-                }
-                let nd = d + u64::from(self.arcs[a.index()].weight);
-                if dist[v.index()].is_none_or(|cur| nd < cur) && !settled[v.index()] {
-                    dist[v.index()] = Some(nd);
-                    heap.push((Reverse(nd), v.index() as u32));
-                }
-            }
-        }
-        dist
+        assert!(
+            source.index() < self.node_count(),
+            "source {source} out of range"
+        );
+        self.search(source, failed, None).0
     }
 
     /// One shortest path `s → t` (node sequence), optionally masking a
@@ -190,18 +171,40 @@ impl DiGraph {
     ) -> Option<Vec<NodeId>> {
         let n = self.node_count();
         assert!(s.index() < n && t.index() < n, "endpoint out of range");
+        let (dist, parent) = self.search(s, failed, Some(t));
+        dist[t.index()]?;
+        let mut path = vec![t];
+        let mut at = t;
+        while at != s {
+            at = parent[at.index()].expect("invariant: reachable nodes have parents");
+            path.push(at);
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    /// Dijkstra from `source` without the arc `failed`, stopping once
+    /// `target` settles: each node's distance and parent as last
+    /// relaxed, final for every settled node.
+    fn search(
+        &self,
+        source: NodeId,
+        failed: Option<ArcId>,
+        target: Option<NodeId>,
+    ) -> (Vec<Option<u64>>, Vec<Option<NodeId>>) {
+        let n = self.node_count();
         let mut dist: Vec<Option<u64>> = vec![None; n];
         let mut parent: Vec<Option<NodeId>> = vec![None; n];
         let mut settled = vec![false; n];
         let mut heap: BinaryHeap<(Reverse<u64>, u32)> = BinaryHeap::new();
-        dist[s.index()] = Some(0);
-        heap.push((Reverse(0), s.index() as u32));
+        dist[source.index()] = Some(0);
+        heap.push((Reverse(0), source.index() as u32));
         while let Some((Reverse(d), ui)) = heap.pop() {
             if settled[ui as usize] {
                 continue;
             }
             settled[ui as usize] = true;
-            if ui as usize == t.index() {
+            if target.is_some_and(|t| t.index() == ui as usize) {
                 break;
             }
             for &(v, a) in &self.out[ui as usize] {
@@ -216,15 +219,7 @@ impl DiGraph {
                 }
             }
         }
-        dist[t.index()]?;
-        let mut path = vec![t];
-        let mut at = t;
-        while at != s {
-            at = parent[at.index()].expect("invariant: reachable nodes have parents");
-            path.push(at);
-        }
-        path.reverse();
-        Some(path)
+        (dist, parent)
     }
 
     /// All-pairs distance matrix (no failures); `None` for unreachable

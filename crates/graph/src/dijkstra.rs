@@ -1,7 +1,8 @@
 //! Dijkstra's algorithm over a [`Topology`], using perturbed `u128` costs
 //! for unique tie-breaking (see [`CostModel`]).
 
-use crate::{CostModel, EdgeId, NodeId, Path, PathCost, ShortestPathTree, Topology};
+use crate::spt::{NO_EDGE, NO_NODE};
+use crate::{CostModel, NodeId, Path, PathCost, ShortestPathTree, Topology};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -28,46 +29,14 @@ pub fn shortest_path_tree<T: Topology>(
         source.index() < graph.node_count(),
         "source {source} out of range"
     );
-    let n = graph.node_count();
-    assert!(
-        n <= CostModel::MAX_NODES,
-        "graphs are limited to {} nodes (padding overflow)",
-        CostModel::MAX_NODES
-    );
-    let mut tree = ShortestPathTree::unreachable(source, n);
-    if !topo.node_alive(source) {
-        return tree;
-    }
-
-    // dist/parent working arrays; tree is finalized on settle.
-    let mut dist = vec![u128::MAX; n];
-    let mut settled = vec![false; n];
-    let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
-
-    let mut heap: BinaryHeap<(Reverse<u128>, u32)> = BinaryHeap::new();
-    dist[source.index()] = 0;
-    heap.push((Reverse(0), source.index() as u32));
-
-    while let Some((Reverse(d), ui)) = heap.pop() {
-        let u = NodeId::new(ui as usize);
-        if settled[ui as usize] || d > dist[ui as usize] {
-            continue;
-        }
-        settled[ui as usize] = true;
-        tree.settle(u, d, parent[ui as usize]);
-
-        for h in topo.live_neighbors(u) {
-            let vi = h.to.index();
-            if settled[vi] {
-                continue;
-            }
-            let nd = d + model.perturbed_weight(graph, h.edge);
-            if nd < dist[vi] {
-                dist[vi] = nd;
-                parent[vi] = Some((u, h.edge));
-                heap.push((Reverse(nd), vi as u32));
-            }
-        }
+    let mut tree = ShortestPathTree::unreachable(source, graph.node_count());
+    if topo.node_alive(source) {
+        search(topo, model, source, |v, d, (pn, pe)| {
+            tree.dist[v] = d;
+            tree.parent_node[v] = pn;
+            tree.parent_edge[v] = pe;
+            false
+        });
     }
     tree
 }
@@ -92,38 +61,50 @@ pub fn shortest_path<T: Topology>(
     if !topo.node_alive(s) || !topo.node_alive(t) {
         return None;
     }
-    if s == t {
-        return Some(Path::trivial(s));
-    }
+    let mut reached = false;
+    let parent = search(topo, model, s, |v, _, _| {
+        reached = v == t.index();
+        reached
+    });
+    reached.then(|| Path::from_parent_chain(t, |v| parent[v]))
+}
+
+/// The reference Dijkstra: a binary heap over perturbed costs from the
+/// live node `source`. Each node is handed to `settle(v, dist, (parent
+/// node, parent edge))` as it settles, and the search ends once that
+/// returns true or every reachable node has settled. Returns the parent
+/// links as last relaxed, final for every settled node.
+fn search<T: Topology>(
+    topo: &T,
+    model: &CostModel,
+    source: NodeId,
+    mut settle: impl FnMut(usize, u128, (u32, u32)) -> bool,
+) -> Vec<(u32, u32)> {
+    let graph = topo.graph();
     let n = graph.node_count();
+    assert!(
+        n <= CostModel::MAX_NODES,
+        "graphs are limited to {} nodes (padding overflow)",
+        CostModel::MAX_NODES
+    );
     let mut dist = vec![u128::MAX; n];
     let mut settled = vec![false; n];
-    let mut parent: Vec<Option<(NodeId, EdgeId)>> = vec![None; n];
+    let mut parent = vec![(NO_NODE, NO_EDGE); n];
+
     let mut heap: BinaryHeap<(Reverse<u128>, u32)> = BinaryHeap::new();
-    dist[s.index()] = 0;
-    heap.push((Reverse(0), s.index() as u32));
+    dist[source.index()] = 0;
+    heap.push((Reverse(0), source.index() as u32));
 
     while let Some((Reverse(d), ui)) = heap.pop() {
-        let u = NodeId::new(ui as usize);
-        if settled[ui as usize] || d > dist[ui as usize] {
+        let u = ui as usize;
+        if settled[u] || d > dist[u] {
             continue;
         }
-        settled[ui as usize] = true;
-        if u == t {
-            // Reconstruct.
-            let mut nodes = vec![t];
-            let mut edges = Vec::new();
-            let mut at = t;
-            while let Some((pn, pe)) = parent[at.index()] {
-                edges.push(pe);
-                nodes.push(pn);
-                at = pn;
-            }
-            nodes.reverse();
-            edges.reverse();
-            return Some(Path::from_parts_unchecked(nodes, edges));
+        settled[u] = true;
+        if settle(u, d, parent[u]) {
+            break;
         }
-        for h in topo.live_neighbors(u) {
+        for h in topo.live_neighbors(NodeId::new(u)) {
             let vi = h.to.index();
             if settled[vi] {
                 continue;
@@ -131,12 +112,12 @@ pub fn shortest_path<T: Topology>(
             let nd = d + model.perturbed_weight(graph, h.edge);
             if nd < dist[vi] {
                 dist[vi] = nd;
-                parent[vi] = Some((u, h.edge));
+                parent[vi] = (ui, h.edge.index() as u32);
                 heap.push((Reverse(nd), vi as u32));
             }
         }
     }
-    None
+    parent
 }
 
 /// The cost of the shortest path from `s` to `t` over `topo`, or `None` if

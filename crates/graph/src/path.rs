@@ -1,5 +1,6 @@
 //! Simple paths (and walks) through a graph.
 
+use crate::spt::NO_NODE;
 use crate::{CostModel, EdgeId, Graph, NodeId, PathCost, PathError};
 use core::fmt;
 use std::collections::HashSet;
@@ -111,6 +112,31 @@ impl Path {
     pub fn from_parts_unchecked(nodes: Vec<NodeId>, edges: Vec<EdgeId>) -> Self {
         debug_assert!(!nodes.is_empty());
         debug_assert_eq!(nodes.len(), edges.len() + 1);
+        Path { nodes, edges }
+    }
+
+    /// The path from the root of a parent chain to `t`, where
+    /// `parent(v)` is `v`'s `(parent node, parent edge)` and the root's
+    /// parent node is the `NO_NODE` sentinel. Every tree path and every
+    /// path the CSR kernels return is read back this way.
+    pub(crate) fn from_parent_chain(
+        t: NodeId,
+        mut parent: impl FnMut(usize) -> (u32, u32),
+    ) -> Self {
+        let mut nodes = vec![t];
+        let mut edges = Vec::new();
+        let mut at = t.index();
+        loop {
+            let (pn, pe) = parent(at);
+            if pn == NO_NODE {
+                break;
+            }
+            edges.push(EdgeId::new(pe as usize));
+            nodes.push(NodeId::new(pn as usize));
+            at = pn as usize;
+        }
+        nodes.reverse();
+        edges.reverse();
         Path { nodes, edges }
     }
 

@@ -168,21 +168,9 @@ impl ShortestPathTree {
         if !self.reachable(v) {
             return None;
         }
-        let mut nodes = vec![v];
-        let mut edges = Vec::new();
-        let mut at = v;
-        while let Some(pe) = self.parent_edge(at) {
-            let pn = self
-                .parent_node(at)
-                .expect("invariant: parent edge implies parent node");
-            edges.push(pe);
-            nodes.push(pn);
-            at = pn;
-        }
-        debug_assert_eq!(at, self.source);
-        nodes.reverse();
-        edges.reverse();
-        Some(Path::from_parts_unchecked(nodes, edges))
+        let path = Path::from_parent_chain(v, |i| (self.parent_node[i], self.parent_edge[i]));
+        debug_assert_eq!(path.source(), self.source);
+        Some(path)
     }
 
     /// Fills `offsets`/`kids` with the CSR form of the children relation

@@ -886,15 +886,14 @@ fn simple_index(t: &Tokens, open: usize, close: usize) -> bool {
 /// The `debug_assert!` family.
 const DEBUG_ASSERTS: &[&str] = &["debug_assert", "debug_assert_eq", "debug_assert_ne"];
 
-/// Debug-invariant drift: a `debug_assert!` inside a hot region states
-/// an invariant the release build silently stops checking — so it must
-/// have a release-mode test registered in `crates/lint/lint-invariants.txt`
-/// (`<path>:<fn> <test-path>` per line) that pins the same property.
-fn debug_invariants(ws: &Workspace, file: &SourceFile, out: &mut Vec<Finding>) {
+/// Every `debug_assert!` in a hot region of `file` that is neither in a
+/// test nor allowed, as `(token, line, enclosing fn)`.
+fn hot_asserts(file: &SourceFile) -> Vec<(usize, usize, String)> {
     let t = &file.tokens;
     if file.tree.blocks.iter().all(|b| !b.hot) {
-        return;
+        return Vec::new();
     }
+    let mut out = Vec::new();
     for i in 0..t.toks.len() {
         if !(t.toks[i].kind == TokKind::Ident && DEBUG_ASSERTS.contains(&t.text_of(i))) {
             continue;
@@ -910,6 +909,18 @@ fn debug_invariants(ws: &Workspace, file: &SourceFile, out: &mut Vec<Finding>) {
             continue;
         }
         let func = file.tree.enclosing_fn(i).unwrap_or("<file>").to_string();
+        out.push((i, ln, func));
+    }
+    out
+}
+
+/// Debug-invariant drift: a `debug_assert!` inside a hot region states
+/// an invariant the release build silently stops checking — so it must
+/// have a release-mode test registered in `crates/lint/lint-invariants.txt`
+/// (`<path>:<fn> <test-path>` per line) that pins the same property.
+fn debug_invariants(ws: &Workspace, file: &SourceFile, out: &mut Vec<Finding>) {
+    let t = &file.tokens;
+    for (i, ln, func) in hot_asserts(file) {
         let entry = ws
             .invariants
             .iter()
@@ -947,26 +958,32 @@ fn debug_invariants(ws: &Workspace, file: &SourceFile, out: &mut Vec<Finding>) {
 }
 
 /// Flags manifest entries whose source location no longer has a hot
-/// `debug_assert!` — or whose registered test file is gone — so the
-/// manifest cannot rot silently.
+/// `debug_assert!`: the file is not scanned, or no fn of that name in it
+/// encloses one. So the manifest cannot rot silently.
 fn stale_invariant_entries(ws: &Workspace, out: &mut Vec<Finding>) {
     for e in &ws.invariants {
-        let file_exists = ws
+        let file = ws
             .crates
             .iter()
             .flat_map(|c| c.files.iter())
-            .any(|f| f.path == e.path);
-        if !file_exists {
-            out.push(Finding::new(
-                "debug-invariants",
-                "crates/lint/lint-invariants.txt".to_string(),
-                e.line,
-                format!(
-                    "stale manifest entry: `{}` is not a scanned source file",
-                    e.path
-                ),
-            ));
-        }
+            .find(|f| f.path == e.path);
+        let message = match file {
+            None => format!(
+                "stale manifest entry: `{}` is not a scanned source file",
+                e.path
+            ),
+            Some(f) if !hot_asserts(f).iter().any(|(_, _, func)| *func == e.func) => format!(
+                "stale manifest entry: no fn `{}` in `{}` encloses a hot `debug_assert!`",
+                e.func, e.path
+            ),
+            Some(_) => continue,
+        };
+        out.push(Finding::new(
+            "debug-invariants",
+            "crates/lint/lint-invariants.txt".to_string(),
+            e.line,
+            message,
+        ));
     }
 }
 

@@ -29,9 +29,10 @@ fn conc_violations_fixture_trips_every_tier2_rule() {
     assert_eq!(count("lock-discipline"), 2, "{findings:#?}");
     // Alloc, compound index, narrowing cast in one hot region.
     assert_eq!(count("hot-path"), 3, "{findings:#?}");
-    // Unregistered assert, missing test file, stale manifest entry.
-    assert_eq!(count("debug-invariants"), 3, "{findings:#?}");
-    assert_eq!(findings.len(), 13, "no unexpected findings\n{findings:#?}");
+    // Unregistered assert, missing test file, stale manifest entries
+    // naming a gone file and a gone fn.
+    assert_eq!(count("debug-invariants"), 4, "{findings:#?}");
+    assert_eq!(findings.len(), 14, "no unexpected findings\n{findings:#?}");
 }
 
 #[test]
@@ -166,10 +167,10 @@ fn binary_json_baseline_and_fix_flags_work_end_to_end() {
         stdout.contains("let _guard ="),
         "--fix-dry-run diff\n{stdout}"
     );
-    assert!(stdout.contains("lint.findings.total=13"), "{stdout}");
+    assert!(stdout.contains("lint.findings.total=14"), "{stdout}");
     let json = std::fs::read_to_string(&json_path).expect("json written");
     let v = rbpc_obs::json::parse(&json).expect("valid JSON");
-    assert_eq!(v.get("new").and_then(|x| x.as_f64()), Some(13.0));
+    assert_eq!(v.get("new").and_then(|x| x.as_f64()), Some(14.0));
 
     // Write a full baseline from the report keys; the same run passes.
     let findings = check("conc_violations");
@@ -193,7 +194,7 @@ fn binary_json_baseline_and_fix_flags_work_end_to_end() {
         .expect("run rbpc-lint");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "baselined run passes:\n{stdout}");
-    assert!(stdout.contains("lint.findings.baselined=13"), "{stdout}");
+    assert!(stdout.contains("lint.findings.baselined=14"), "{stdout}");
 
     // An empty justification flips the run back to failure.
     let mut unjust = baseline;
