@@ -79,9 +79,10 @@ pub trait BasePathOracle {
     /// or `None` if the failures disconnect the pair.
     ///
     /// [`BasePaths`](crate::BasePaths) overrides this with
-    /// [`CsrGraph::resume_path`](rbpc_graph::CsrGraph::resume_path), which
+    /// [`CsrGraph::repair_path`](rbpc_graph::CsrGraph::repair_path), which
     /// stops repairing once `t` settles, clones no tree, and resumes the
-    /// thread's last repair of `s` under the same failures.
+    /// repair of `s` under the same failures that one of the store's
+    /// pooled arenas holds.
     fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
         self.with_spt_under(s, failures, |spt| spt.path_to(t))
     }

@@ -182,6 +182,34 @@ fn bounded_store_shard_counters_match_observed_behavior() {
     assert_eq!((stats.hits, stats.misses), (hit_delta, miss_delta));
 }
 
+/// A bounded store answers a prefix question about an absent segment
+/// start with an early-exit probe, which records what it settled and
+/// its exact ties: none, since padded shortest paths are unique.
+#[test]
+fn bounded_store_prefix_probe_records_settled_and_no_ties() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let g = gnm_connected(15, 34, 6, 9);
+    let model = CostModel::new(Metric::Weighted, 2);
+    let dense = DenseBasePaths::build(g.clone(), model);
+    let path = (0..15usize)
+        .filter_map(|t| dense.base_path(NodeId::new(3), t.into()))
+        .max_by_key(|p| p.edges().len())
+        .expect("connected");
+    assert!(path.edges().len() >= 2, "{path:?}");
+    let store = ShardedBasePaths::with_budget(g, model, 1, 1, 1);
+
+    let probes = counter("core.store.prefix_probe");
+    let settled = histogram("spt.prefix_probe.settled");
+    let ties = counter("graph.ties");
+    assert!(store.is_base_path(&path));
+    assert_eq!(counter("core.store.prefix_probe") - probes, 1);
+    let (calls, sum) = histogram("spt.prefix_probe.settled");
+    assert_eq!(calls - settled.0, 1);
+    assert!(sum > settled.1, "the probe settled nothing");
+    assert_eq!(counter("graph.ties"), ties, "padded shortest paths tied");
+    assert_eq!(store.resident_trees(), 0, "a probe builds nothing");
+}
+
 /// A merged domain establishes a one-hop LSP for each raw-edge segment it
 /// has no LSP for yet, and counts each one, as the per-pair domain does.
 /// The graph is the merged-restoration unit test's, where one of these

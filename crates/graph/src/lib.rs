@@ -74,7 +74,7 @@ mod yen;
 pub use bfs::{bfs_distances, connected_components, is_connected, ComponentLabels};
 pub use cost::{splitmix64, CostModel, IdHasher, IdMap, Metric, PathCost};
 pub use counting::count_shortest_paths;
-pub use csr::{CsrGraph, DijkstraScratch, FailureMask, RepairWork, SptBatchScratch, TreeOwner};
+pub use csr::{CsrGraph, DijkstraScratch, FailureMask, RepairArena, RepairWork, SptBatchScratch};
 pub use cuts::{cut_elements, CutElements};
 pub use digraph::{ArcId, ArcRecord, DiGraph};
 pub use dijkstra::{distance, shortest_path, shortest_path_tree};

@@ -5,7 +5,7 @@
 //! |------|-----------------|
 //! | `atomics-order` | `Ordering::Relaxed` on atomics shared across threads (written from a `spawn` closure, a `static`, or a shared type) without an allow + safety note |
 //! | `lock-discipline` | `Mutex`/`RwLock` guards held across calls to other locking functions (ordering-inversion candidates) and guards bound with `let _ =` (dropped immediately) |
-//! | `hot-path` | heap allocation, truncating `as` casts, and compound index expressions inside `// lint:hot` regions |
+//! | `hot-path` | heap allocation, truncating `as` casts, and compound index expressions inside `// lint:hot` regions, and a marker that binds to a closure body alone |
 //! | `debug-invariants` | `debug_assert!` in a hot region with no release-mode test registered in `crates/lint/lint-invariants.txt` |
 //!
 //! Unlike the v1 line rules these pattern-match *token sequences*, so a
@@ -769,6 +769,14 @@ fn hot_path(file: &SourceFile, out: &mut Vec<Finding>) {
         }
         out.push(Finding::new("hot-path", file.path.clone(), ln, what).with_col(col_of(t, tok)));
     };
+    for b in file.tree.blocks.iter().filter(|b| b.hot && b.closure) {
+        flag(
+            b.open,
+            "`// lint:hot` binds to this closure's body alone, not to the loop or fn \
+             around it; put the marker above the `fn`"
+                .to_string(),
+        );
+    }
     for i in 0..t.toks.len() {
         if !file.tree.in_hot(i) {
             continue;

@@ -15,7 +15,9 @@
 //!
 //! The marker binds to the next `{` block opened after it: put
 //! `// lint:hot` directly above a `fn` to mark its whole body, or above
-//! a `while`/`loop`/`for` line to mark just that loop.
+//! a `while`/`loop`/`for` line to mark just that loop. A marker whose
+//! block is a closure body (`q.pop(|v| { … })` in a loop head) marks
+//! that closure alone, so the `hot-path` rule reports it.
 
 use crate::token::{TokKind, Tokens};
 
@@ -33,6 +35,8 @@ pub struct Block {
     pub fn_name: Option<String>,
     /// Opened under a `// lint:hot` marker.
     pub hot: bool,
+    /// The body of a closure: the `{` directly follows its `|…|`.
+    pub closure: bool,
     /// The item block of a `#[cfg(test)]` attribute.
     pub test: bool,
     /// 1-based line of the `#[cfg(test)]` attribute, when `test`.
@@ -144,6 +148,7 @@ impl FileTree {
                             parent: stack.last().copied(),
                             fn_name: pending_fn.take(),
                             hot: std::mem::take(&mut pending_hot),
+                            closure: t.prev_code(i).is_some_and(|p| t.is_punct(p, "|")),
                             test: pending_test.is_some(),
                             test_attr_line: pending_test.take().unwrap_or(0),
                             loop_vars: std::mem::take(&mut pending_for),
@@ -253,6 +258,18 @@ mod tests {
         assert!(ft.in_hot(at("b")));
         assert!(ft.in_hot(at("c")), "nested blocks inherit hot");
         assert!(!ft.in_hot(at("d")));
+    }
+
+    #[test]
+    fn hot_marker_above_a_closure_in_a_loop_head_binds_to_the_closure() {
+        let src = "fn f() {\n// lint:hot\nwhile let Some(x) = q.pop(|v| { v > 0 }) { step(x); }\n}";
+        let (t, ft) = tree(src);
+        let at = |word: &str| (0..t.toks.len()).find(|&i| t.text_of(i) == word).unwrap();
+        assert!(!ft.in_hot(at("step")), "the loop body is not hot");
+        let hot: Vec<&Block> = ft.blocks.iter().filter(|b| b.hot).collect();
+        assert_eq!(hot.len(), 1);
+        assert!(hot[0].closure);
+        assert!(ft.blocks.iter().filter(|b| !b.hot).all(|b| !b.closure));
     }
 
     #[test]

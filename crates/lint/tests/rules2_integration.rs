@@ -36,6 +36,17 @@ fn conc_violations_fixture_trips_every_tier2_rule() {
 }
 
 #[test]
+fn hot_marker_bound_to_a_closure_is_reported() {
+    // The marker above `while let Some(v) = q.pop(|v| { … }) {` binds to
+    // the closure; the `push` in the loop body stays unchecked.
+    let findings = check("hot_closure");
+    assert_eq!(findings.len(), 1, "{findings:#?}");
+    let f = &findings[0];
+    assert_eq!((f.rule, f.line), ("hot-path", 27), "{f:#?}");
+    assert!(f.message.contains("closure"), "{f:#?}");
+}
+
+#[test]
 fn conc_clean_fixture_has_no_findings() {
     assert_eq!(check("conc_clean"), vec![]);
 }

@@ -84,6 +84,7 @@ fn assert_probe_matches(name: &str, graph: &Graph, model: CostModel, seed: u64) 
     let csr = CsrGraph::new(graph, &model);
     let mut rng = DetRng::seed_from_u64(seed);
     let mut scratch = DijkstraScratch::new(graph.node_count());
+    let mut probe = DijkstraScratch::new(graph.node_count());
     let mut trees: Vec<Option<ShortestPathTree>> = vec![None; graph.node_count()];
     let (mut probe_settled, mut full_settled) = (0usize, 0usize);
     let (mut raw, mut partial) = (0usize, 0usize);
@@ -97,7 +98,7 @@ fn assert_probe_matches(name: &str, graph: &Graph, model: CostModel, seed: u64) 
             while want < last && tree.is_tree_step(nodes[want], edges[want], nodes[want + 1]) {
                 want += 1;
             }
-            let (got, settled) = csr.longest_tree_prefix(&path, from);
+            let (got, settled) = csr.longest_tree_prefix(&path, from, &mut probe);
             assert_eq!(got, want, "{name}: seed {seed}, from {from} of {path:?}");
             let reachable = graph.nodes().filter(|&v| tree.reachable(v)).count();
             if from < last {
