@@ -1,16 +1,16 @@
 //! Micro-bench: the batched multi-source SPT kernel against the scalar
 //! per-source loop — same topologies, same source lists, so bench-gate
-//! can assert the unit-weight sweep's speedup directly
-//! (`spt_batch/powerlaw_5000/batched` vs `spt_batch/powerlaw_5000/scalar`).
-//! The weighted rows (`isp_200`, `gnm_1000`) run the scalar loop in
-//! both columns: a weighted batch runs it per source.
+//! can assert the unit-weight sweep's speedup directly on two families
+//! (`spt_batch/powerlaw_5000/*` and `spt_batch/gnm_1000/*`, both
+//! unit-weight graphs). The weighted `isp_200` row runs the scalar loop
+//! in both columns: a weighted batch runs it per source.
 //!
 //! Each row provisions the same 32-source batch: `scalar` loops
 //! [`CsrGraph::full_tree`] with a reused [`DijkstraScratch`] (the exact
 //! shape the provisioning sweep had before the batch kernel), `batched`
 //! runs [`CsrGraph::full_tree_batch`] with a reused [`SptBatchScratch`].
 //! Trees are bit-identical either way (asserted once per family before
-//! timing); on the unit-weight row only the frontier and memory layout
+//! timing); on the unit-weight rows only the frontier and memory layout
 //! differ.
 
 use rbpc_bench::{criterion_group, criterion_main, Criterion};
@@ -24,7 +24,8 @@ const BATCH: usize = 32;
 fn bench_spt_batch(c: &mut Criterion) {
     let isp = rbpc_bench::isp_graph();
     let power = internet_like_scaled(5_000, rbpc_bench::SEED);
-    let random = gnm_connected(1_000, 3_000, 20, rbpc_bench::SEED);
+    // Unit weights, so its `batched` column runs the unit sweep.
+    let random = gnm_connected(1_000, 3_000, 1, rbpc_bench::SEED);
     let model = CostModel::new(Metric::Weighted, rbpc_bench::SEED);
 
     let mut g = c.benchmark_group("spt_batch");

@@ -13,10 +13,7 @@
 //! allows. Every residency returns bit-identical answers because the
 //! trees are canonical for a given `(metric, seed)`.
 
-use rbpc_graph::{
-    shortest_path_tree, CostModel, FailureSet, Graph, NodeId, Path, ShortestPathTree,
-};
-use rbpc_obs::obs_span;
+use rbpc_graph::{CostModel, FailureSet, Graph, NodeId, Path, ShortestPathTree};
 
 /// Default worker-thread count for batch provisioning: the machine's
 /// available parallelism, or 1 if that cannot be determined.
@@ -28,8 +25,9 @@ pub fn default_threads() -> usize {
 
 /// The provisioned base set: one canonical shortest path per ordered pair.
 ///
-/// All methods are derived from [`BasePathOracle::with_spt`]; implementors
-/// only supply tree storage.
+/// Every other method is derived from [`BasePathOracle::with_spt`] and
+/// [`BasePathOracle::with_spt_under`]; implementors supply the trees
+/// before and after a failure.
 pub trait BasePathOracle {
     /// The graph the base set was computed over.
     fn graph(&self) -> &Graph;
@@ -46,15 +44,14 @@ pub trait BasePathOracle {
 
     /// Runs `f` with the shortest-path tree rooted at `source` over the
     /// graph with `failures` applied — the tree a router recomputes when
-    /// links go down.
+    /// links go down. It must equal the canonical tree over the failed
+    /// view, which is unique because padded costs make shortest paths
+    /// unique.
     ///
-    /// The default implementation rebuilds from scratch (recorded under the
-    /// `spt.rebuild.ns` histogram). [`BasePaths`](crate::BasePaths)
-    /// overrides it to *repair* its unfailed tree with
+    /// [`BasePaths`](crate::BasePaths) *repairs* its unfailed tree with
     /// [`CsrGraph::repair_tree`](rbpc_graph::CsrGraph::repair_tree)
     /// (`spt.repair.ns` / `spt.repair.nodes_touched` /
-    /// `spt.repair.settled`), which yields a bit-identical tree because
-    /// padded costs make shortest paths unique.
+    /// `spt.repair.settled`).
     ///
     /// # Panics
     ///
@@ -64,16 +61,7 @@ pub trait BasePathOracle {
         source: NodeId,
         failures: &FailureSet,
         f: impl FnOnce(&ShortestPathTree) -> R,
-    ) -> R {
-        if failures.is_empty() {
-            return self.with_spt(source, f);
-        }
-        let tree = {
-            let _span = obs_span!("spt.rebuild.ns");
-            shortest_path_tree(&failures.view(self.graph()), self.cost_model(), source)
-        };
-        f(&tree)
-    }
+    ) -> R;
 
     /// The canonical shortest path from `s` to `t` over the failed view,
     /// or `None` if the failures disconnect the pair.
@@ -251,6 +239,14 @@ mod tests {
             }
             fn with_spt<R>(&self, source: NodeId, f: impl FnOnce(&ShortestPathTree) -> R) -> R {
                 self.0.with_spt(source, f)
+            }
+            fn with_spt_under<R>(
+                &self,
+                source: NodeId,
+                failures: &FailureSet,
+                f: impl FnOnce(&ShortestPathTree) -> R,
+            ) -> R {
+                self.0.with_spt_under(source, failures, f)
             }
             fn path_under(&self, s: NodeId, t: NodeId, failures: &FailureSet) -> Option<Path> {
                 self.1[0].set(self.1[0].get() + 1);

@@ -11,7 +11,7 @@
 
 use crate::BasePathOracle;
 use rbpc_graph::{shortest_path_tree, FailureSet, NodeId, Path, Topology};
-use rbpc_obs::{obs_count, obs_event, obs_record, obs_trace, obs_trace_attr};
+use rbpc_obs::{obs_count, obs_record, obs_trace, obs_trace_attr};
 use std::collections::VecDeque;
 
 /// What a segment of a concatenation is.
@@ -199,7 +199,7 @@ pub fn greedy_decompose<O: BasePathOracle>(oracle: &O, path: &Path) -> Concatena
             // Not even one hop agrees with the tree: this edge is not a
             // base path (e.g. a surviving parallel twin). Emit it raw.
             obs_count!("core.decompose.raw_edge_fallback");
-            obs_event!("decompose_fallback", position = i, path_hops = last,);
+            obs_trace_attr!(trace, raw_edge_at = i);
             segments.push(Segment {
                 kind: SegmentKind::RawEdge,
                 path: path.subpath(i, i + 1),

@@ -5,8 +5,8 @@ use crate::decompose::path_survives;
 use crate::{greedy_decompose, BasePathOracle, Concatenation, RestoreError, SegmentKind};
 use rbpc_graph::{par, EdgeId, FailureSet, NodeId, Path, PathCost};
 use rbpc_obs::{
-    obs_count, obs_event, obs_flight, obs_flight_now, obs_record, obs_span, obs_trace,
-    obs_trace_attr, FlightKind, FlightRecord,
+    obs_count, obs_flight, obs_flight_now, obs_record, obs_span, obs_trace, obs_trace_attr,
+    FlightKind, FlightRecord,
 };
 
 /// The result of restoring one source–destination route.
@@ -149,12 +149,6 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
             k_failures = failures.failed_edge_count(),
         );
         obs_count!("core.restore.calls");
-        obs_event!(
-            "restore_start",
-            src = s.index(),
-            dst = t.index(),
-            failed_edges = failures.failed_edge_count(),
-        );
         let flight_start = obs_flight_now!();
         let result = self.restore_inner(s, t, failures);
         match &result {
@@ -164,25 +158,14 @@ impl<'a, O: BasePathOracle> Restorer<'a, O> {
                     obs_count!("core.restore.affected");
                 }
                 obs_record!("core.restore.segments", r.concatenation.len());
+                obs_trace_attr!(trace, affected = r.affected);
                 obs_trace_attr!(trace, stack_depth = r.concatenation.len());
+                obs_trace_attr!(trace, raw_edges = r.concatenation.raw_edge_count());
                 obs_trace_attr!(trace, stretch = r.hop_stretch());
-                obs_event!(
-                    "restore_done",
-                    src = s.index(),
-                    dst = t.index(),
-                    affected = r.affected,
-                    segments = r.concatenation.len(),
-                    raw_edges = r.concatenation.raw_edge_count(),
-                );
             }
             Err(e) => {
                 obs_count!("core.restore.err");
-                obs_event!(
-                    "restore_done",
-                    src = s.index(),
-                    dst = t.index(),
-                    error = e.to_string(),
-                );
+                obs_trace_attr!(trace, error = e.to_string());
             }
         }
         // Black-box record: the full failure set plus the plan

@@ -114,31 +114,6 @@ pub trait BasePathStore: BasePathOracle {
     fn prefetch(&self, sources: &[NodeId]) -> usize;
 }
 
-/// Forwarding impl so generic layers can take `&S` where a
-/// [`BasePathStore`] is expected, mirroring the [`BasePathOracle`]
-/// blanket impl.
-impl<S: BasePathStore> BasePathStore for &S {
-    fn resident_trees(&self) -> usize {
-        (**self).resident_trees()
-    }
-
-    fn resident_bytes(&self) -> usize {
-        (**self).resident_bytes()
-    }
-
-    fn max_resident_trees(&self) -> Option<usize> {
-        (**self).max_resident_trees()
-    }
-
-    fn evicted_trees(&self) -> u64 {
-        (**self).evicted_trees()
-    }
-
-    fn prefetch(&self, sources: &[NodeId]) -> usize {
-        (**self).prefetch(sources)
-    }
-}
-
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 /// The shard cache is always left consistent between operations (a
 /// panicked holder can at worst have skipped an insert), so continuing
@@ -256,13 +231,14 @@ struct Arena {
 /// [`CsrGraph::repair_path`]) and never cached, so the store stays
 /// canonical. The store owns the kernels' working memory: a small pool
 /// of [`RepairArena`]s, each with a prefix probe's scratch, lent to one
-/// call at a time. A caller takes the arena whose run is of its source,
-/// else the one returned last, and the kernel resumes that run if its
-/// failures are the caller's. The store's tree of
-/// a source is the same canonical tree after any eviction and rebuild,
-/// so `path_under` calls for one source under one failure set resume a
-/// single repair instead of repeating it — from one thread, or from
-/// parallel workers that each keep their run.
+/// call at a time. A caller takes the arena returned last, and the
+/// kernel resumes that arena's run if it is of the caller's source under
+/// the caller's failures. The store's tree of a source is the same
+/// canonical tree after any eviction and rebuild, so a sequential
+/// caller's `path_under` calls for one source under one failure set
+/// resume a single repair instead of repeating it. Parallel workers
+/// share the pool, so they resume only when the arena they take holds
+/// their run.
 ///
 /// # Residency
 ///
@@ -586,17 +562,10 @@ impl BasePaths {
         Some(shard)
     }
 
-    /// Runs `f` on an arena lent from the pool: the one returned last
-    /// whose repair run is of `source`, if any, else the one returned
-    /// last, else a new one. The arena goes back afterwards.
-    fn with_arena<R>(&self, source: Option<NodeId>, f: impl FnOnce(&mut Arena) -> R) -> R {
-        let mut pool = lock_unpoisoned(&self.arenas);
-        let held = source.and_then(|s| pool.iter().rposition(|a| a.repair.run_source() == Some(s)));
-        let taken = match held {
-            Some(i) => Some(pool.remove(i)),
-            None => pool.pop(),
-        };
-        drop(pool);
+    /// Runs `f` on an arena lent from the pool: the one returned last,
+    /// else a new one. The arena goes back afterwards.
+    fn with_arena<R>(&self, f: impl FnOnce(&mut Arena) -> R) -> R {
+        let taken = lock_unpoisoned(&self.arenas).pop();
         let mut arena = taken.unwrap_or_default();
         let out = f(&mut arena);
         lock_unpoisoned(&self.arenas).push(arena);
@@ -669,7 +638,7 @@ impl BasePathOracle for BasePaths {
                 &mut DijkstraScratch::default(),
             ));
         }
-        let tree = self.with_arena(Some(source), |arena| {
+        let tree = self.with_arena(|arena| {
             self.with_spt(source, |base| {
                 let _t = obs_trace!("spt.repair", cat: "lookup", source = source.index());
                 let _span = obs_span!("spt.repair.ns");
@@ -692,7 +661,7 @@ impl BasePathOracle for BasePaths {
         if failures.node_failed(s) || failures.node_failed(t) {
             return None;
         }
-        self.with_arena(Some(s), |arena| {
+        self.with_arena(|arena| {
             self.with_spt(s, |base| {
                 let _t = obs_trace!("spt.repair", cat: "lookup", source = s.index());
                 let _span = obs_span!("spt.repair.ns");
@@ -724,7 +693,7 @@ impl BasePathOracle for BasePaths {
                 }
                 self.probes.fetch_add(1, Ordering::Relaxed);
                 obs_count!("core.store.prefix_probe");
-                self.with_arena(None, |arena| {
+                self.with_arena(|arena| {
                     let ties = arena.probe.ties_total();
                     let (j, settled) = self.csr.longest_tree_prefix(path, from, &mut arena.probe);
                     obs_record!("spt.prefix_probe.settled", settled as u64);
@@ -963,12 +932,6 @@ mod tests {
         }
         assert!(bounded.evicted_trees() > 0);
         assert_eq!(bounded.resident_trees(), 3);
-
-        // The &S forwarding impl must reach the underlying store.
-        fn takes_store<S: BasePathStore>(s: S) -> usize {
-            s.resident_trees()
-        }
-        assert_eq!(takes_store(&dense), 20);
     }
 
     #[test]

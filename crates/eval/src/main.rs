@@ -13,8 +13,9 @@
 //! suite is replaced by a single custom network loaded from an edge-list
 //! file (see `rbpc_topo::parse_edge_list` for the format).
 //!
-//! Observability: `--events-out FILE` streams structured events (one JSON
-//! object per line) from the instrumented hot paths while the suite runs;
+//! Observability: `--events-out FILE` turns tracing on and streams every
+//! finished trace span (one JSON object per line, the Chrome trace event
+//! `--trace-out` writes, span timing included) while the suite runs;
 //! `--metrics-out FILE` writes the final counter/histogram snapshot as one
 //! JSON object. A human-readable metrics summary is printed to stderr at
 //! the end whenever any instrumentation fired.
@@ -417,12 +418,11 @@ fn main() -> ExitCode {
         .as_ref()
         .map(|_| rbpc_obs::Profiler::start(std::time::Duration::from_micros(200)));
     if let Some(path) = &args.events_out {
-        match rbpc_obs::JsonlSink::create(path) {
-            Ok(sink) => {
-                let _ = rbpc_obs::set_event_sink(Some(sink));
-            }
+        match std::fs::File::create(path) {
+            Ok(file) => rbpc_obs::set_span_stream(Some(Box::new(std::io::BufWriter::new(file)))),
             Err(e) => {
                 eprintln!("error: cannot create {}: {e}", path.display());
+                eprintln!("{}", usage());
                 return ExitCode::FAILURE;
             }
         }
@@ -1105,7 +1105,7 @@ fn run_replay(args: &Args) -> Result<usize, String> {
     Ok(report.mismatches.len())
 }
 
-/// Drains the event sink, exports collected trace spans, stops the
+/// Closes the span stream, exports buffered trace spans, stops the
 /// span-stack profiler (writing its collapsed-stack report to
 /// `--profile-out`), and dumps the metric registry: JSON to
 /// `--metrics-out` if given, and a human-readable summary to stderr.
@@ -1114,14 +1114,12 @@ fn finish_observability(
     mut spans: Vec<rbpc_obs::SpanRecord>,
     profiler: Option<rbpc_obs::Profiler>,
 ) {
-    // Dropping the previous sink flushes the JSONL file.
-    drop(rbpc_obs::set_event_sink(None));
+    // Removing the stream flushes the JSONL file.
+    rbpc_obs::set_span_stream(None);
     if let Some(path) = &args.events_out {
         eprintln!("# wrote {}", path.display());
     }
-    if rbpc_obs::tracing_active() {
-        spans.extend(rbpc_obs::stop_tracing());
-    }
+    spans.extend(rbpc_obs::stop_tracing());
     if let Some(path) = &args.trace_out {
         let mut json = rbpc_obs::chrome_trace_json(&spans);
         json.push('\n');

@@ -162,3 +162,29 @@ fn capture_then_replay_round_trips() {
     assert!(stdout.contains("replay: OK"), "{stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn events_out_streams_one_span_per_line() {
+    let dir = std::env::temp_dir().join(format!("rbpc-events-out-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let events = dir.join("events.jsonl");
+    let out = eval(&["replay", GOLDEN, "--events-out", events.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(&events).expect("read events");
+    for line in text.lines() {
+        rbpc_obs::json::parse(line).expect("one JSON object per line");
+    }
+    let roots = text.matches("\"name\":\"restore.source\"").count();
+    assert_eq!(roots > 0, cfg!(feature = "obs"), "{text}");
+
+    // An unwritable path fails before any work, with the usage text.
+    let missing = dir.join("missing").join("events.jsonl");
+    let bad = eval(&["replay", GOLDEN, "--events-out", missing.to_str().unwrap()]);
+    assert_eq!(bad.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&bad.stderr).contains("usage: rbpc-eval"));
+    std::fs::remove_dir_all(&dir).expect("remove temp dir");
+}

@@ -120,11 +120,6 @@ pub struct RepairArena {
 }
 
 impl RepairArena {
-    /// The source of the resumable run the arena holds, if any.
-    pub fn run_source(&self) -> Option<NodeId> {
-        self.resumable.then(|| NodeId::new(self.source))
-    }
-
     /// Whether the arena holds the run of `source` on `csr` under
     /// exactly `failures`.
     fn holds(&self, csr: &CsrGraph, source: NodeId, failures: &FailureSet) -> bool {

@@ -6,7 +6,7 @@ use crate::{
     ForwardError, ForwardTrace, IlmEntry, IlmOp, Label, LspId, MplsError, Router, SignalingStats,
 };
 use rbpc_graph::{FailureSet, Graph, NodeId, Path, PathError};
-use rbpc_obs::{obs_count, obs_event, obs_record, obs_trace, obs_trace_attr};
+use rbpc_obs::{obs_count, obs_record, obs_trace, obs_trace_attr};
 
 /// An established label-switched path.
 #[derive(Debug, Clone)]
@@ -363,13 +363,6 @@ impl MplsNetwork {
         self.stats.fec_writes += 1;
         obs_count!("mpls.signaling.fec_writes");
         obs_trace_attr!(trace, stack_depth = depth);
-        obs_event!(
-            "fec_rewrite",
-            router = router.index(),
-            dest = dest.index(),
-            lsps = depth,
-            stack_depth = depth,
-        );
         Ok(())
     }
 
@@ -419,6 +412,12 @@ impl MplsNetwork {
         I: IntoIterator<Item = Label>,
         I::IntoIter: ExactSizeIterator,
     {
+        let mut trace = obs_trace!(
+            "mpls.fec_rewrite",
+            cat: "rewrite",
+            router = router.index(),
+            dest = dest.index(),
+        );
         self.router(router)?;
         self.router(dest)?;
         let labels = labels.into_iter();
@@ -428,12 +427,7 @@ impl MplsNetwork {
         entry.extend(labels);
         self.stats.fec_writes += 1;
         obs_count!("mpls.signaling.fec_writes");
-        obs_event!(
-            "fec_rewrite",
-            router = router.index(),
-            dest = dest.index(),
-            stack_depth = depth,
-        );
+        obs_trace_attr!(trace, stack_depth = depth);
         Ok(())
     }
 
@@ -512,13 +506,6 @@ impl MplsNetwork {
         obs_count!("mpls.signaling.ilm_writes");
         obs_count!("mpls.ilm_splices");
         obs_trace_attr!(trace, stack_depth = depth);
-        obs_event!(
-            "ilm_splice",
-            router = router.index(),
-            label = label.value(),
-            chain = chain.len(),
-            stack_depth = depth,
-        );
         Ok(old)
     }
 

@@ -12,32 +12,11 @@
 //! renders them as indented text, marking the critical path (the chain of
 //! longest-duration children) — what `rbpc-eval trace` prints.
 
-use crate::events::json_escape;
 use crate::trace::{SpanId, SpanRecord, TraceId};
+use crate::value::{json_escape, write_value};
 use crate::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-fn write_json_value(out: &mut String, v: &Value) {
-    match v {
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::I64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) if x.is_finite() => {
-            let _ = write!(out, "{x}");
-        }
-        Value::F64(_) => out.push_str("null"),
-        Value::Bool(b) => {
-            let _ = write!(out, "{b}");
-        }
-        Value::Str(s) => {
-            let _ = write!(out, "\"{}\"", json_escape(s));
-        }
-    }
-}
 
 /// Renders spans as Chrome `trace_event` JSON (the object format with a
 /// `traceEvents` array), loadable in `ui.perfetto.dev`.
@@ -78,29 +57,36 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             out.push(',');
         }
         first = false;
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":1,\"tid\":{},\"args\":{{\"trace\":{},\"span\":{}",
-            json_escape(s.name),
-            json_escape(s.cat),
-            s.start_ns as f64 / 1_000.0,
-            s.dur_ns as f64 / 1_000.0,
-            s.trace.value(),
-            s.trace.value(),
-            s.span.value(),
-        );
-        if let Some(p) = s.parent {
-            let _ = write!(out, ",\"parent\":{}", p.value());
-        }
-        for (key, value) in &s.attrs {
-            let _ = write!(out, ",\"{}\":", json_escape(key));
-            write_json_value(&mut out, value);
-        }
-        out.push_str("}}");
+        write_span(&mut out, s);
     }
     out.push_str("]}");
     out
+}
+
+/// Appends `s` as one complete (`"ph":"X"`) trace event: the element of
+/// [`chrome_trace_json`]'s `traceEvents` array and, on its own line, of
+/// the span stream.
+pub(crate) fn write_span(out: &mut String, s: &SpanRecord) {
+    let _ = write!(
+        out,
+        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
+         \"pid\":1,\"tid\":{},\"args\":{{\"trace\":{},\"span\":{}",
+        json_escape(s.name),
+        json_escape(s.cat),
+        s.start_ns as f64 / 1_000.0,
+        s.dur_ns as f64 / 1_000.0,
+        s.trace.value(),
+        s.trace.value(),
+        s.span.value(),
+    );
+    if let Some(p) = s.parent {
+        let _ = write!(out, ",\"parent\":{}", p.value());
+    }
+    for (key, value) in &s.attrs {
+        let _ = write!(out, ",\"{}\":", json_escape(key));
+        write_value(out, value);
+    }
+    out.push_str("}}");
 }
 
 /// One span with its children, inside a [`TraceTree`].
@@ -226,9 +212,8 @@ fn fmt_dur(ns: u64) -> String {
 fn line_for(r: &SpanRecord) -> String {
     let mut line = format!("{} [{}] {}", r.name, r.cat, fmt_dur(r.dur_ns));
     for (key, value) in &r.attrs {
-        let mut rendered = String::new();
-        write_json_value(&mut rendered, value);
-        let _ = write!(line, "  {key}={rendered}");
+        let _ = write!(line, "  {key}=");
+        write_value(&mut line, value);
     }
     line
 }

@@ -21,9 +21,11 @@
 //!   is [`Registry::global`], and [`Registry::global_snapshot`] freezes
 //!   everything into a [`Snapshot`] for rendering or export. Entries are
 //!   never removed, which is what lets call sites cache their handles;
-//! * [`JsonlSink`] + [`obs_event!`] — structured events
-//!   (`restore_start`, `restore_done`, `fec_rewrite`, `ilm_splice`,
-//!   `decompose_fallback`, …) streamed as one JSON object per line;
+//! * [`obs_trace!`] + [`TraceSpan`] — causal trace spans with typed
+//!   [`Value`] attributes (`restore.source`, `decompose.greedy`,
+//!   `mpls.fec_rewrite`, `mpls.ilm_splice`, …), buffered for
+//!   [`chrome_trace_json`] / [`TraceTree`] and, with
+//!   [`set_span_stream`], streamed as one JSON object per line;
 //! * [`WindowedCounter`] / [`WindowedHistogram`] + [`Ticker`] — live
 //!   time-series: per-window deltas and latency distributions in ring
 //!   buffers, with mergeable [`WindowSnapshot`]s (ticks are injected, so
@@ -45,11 +47,12 @@
 //! # Feature gating
 //!
 //! Instrumented crates call the [`obs_count!`], [`obs_record!`],
-//! [`obs_span!`], and [`obs_event!`] macros. Each macro expands an
-//! `#[cfg(feature = "obs")]` guard *in the consumer crate*, so every
-//! instrumented crate declares its own default-on `obs` feature; building
-//! with `--no-default-features` compiles every instrumentation point to a
-//! no-op with zero runtime cost.
+//! [`obs_span!`], [`obs_trace!`] and [`obs_flight!`] macros. Each macro
+//! expands an `#[cfg(feature = "obs")]` guard *in the consumer crate*, so
+//! every instrumented crate declares its own default-on `obs` feature;
+//! building with `--no-default-features` compiles every instrumentation
+//! point to a no-op with zero runtime cost, so neither the span buffer
+//! nor the span stream receives anything.
 //!
 //! With the feature on, an unlabeled [`obs_count!`], [`obs_record!`] or
 //! [`obs_span!`] call site resolves its metric from the global registry
@@ -74,7 +77,6 @@
 
 mod chrome;
 mod counter;
-mod events;
 mod expose;
 mod histogram;
 pub mod json;
@@ -85,10 +87,10 @@ mod slo;
 mod span;
 mod timeseries;
 mod trace;
+mod value;
 
 pub use chrome::{chrome_trace_json, TraceNode, TraceTree};
 pub use counter::Counter;
-pub use events::{emit, event_sink_active, json_escape, set_event_sink, Event, JsonlSink, Value};
 pub use expose::{
     parse_prometheus, render_prometheus, sanitize_metric_name, MetricsServer, PromSample,
 };
@@ -106,9 +108,10 @@ pub use slo::{
 pub use span::Span;
 pub use timeseries::{monotonic_ns, Ticker, WindowSnapshot, WindowedCounter, WindowedHistogram};
 pub use trace::{
-    current_trace, start_tracing, stop_tracing, take_spans, tracing_active, SpanId, SpanRecord,
-    TraceId, TraceSpan,
+    current_trace, set_span_stream, start_tracing, stop_tracing, take_spans, tracing_active,
+    SpanId, SpanRecord, TraceId, TraceSpan,
 };
+pub use value::{json_escape, Value};
 
 /// The call site's cached handle to the global metric `$name`: resolved
 /// through `Registry::global().$kind($name)` on first use, then read from
@@ -228,7 +231,8 @@ macro_rules! obs_span {
 /// cat: "flood", hops = 3usize);`.
 ///
 /// Evaluates to an `Option<TraceSpan>` guard — `None` (nothing allocated)
-/// unless [`start_tracing`] is active. With a span already open on the
+/// unless spans are buffered ([`start_tracing`]) or streamed
+/// ([`set_span_stream`]). With a span already open on the
 /// current thread the new span becomes its child in the same trace;
 /// otherwise it mints a fresh [`TraceId`] and roots a new trace. On drop
 /// the span's wall-clock duration and attributes are pushed to the global
@@ -273,35 +277,6 @@ macro_rules! obs_trace_attr {
         #[cfg(not(feature = "obs"))]
         {
             let _ = (&mut $span, &$val);
-        }
-    }};
-}
-
-/// Emits a structured event to the active [`JsonlSink`], if one is set.
-///
-/// ```
-/// # use rbpc_obs::obs_event;
-/// obs_event!("restore_done", src = 3usize, dst = 9usize, segments = 2usize, ok = true);
-/// ```
-///
-/// Field values may be any type convertible into [`Value`] (integers,
-/// floats, bools, strings). Compiles to a no-op when the calling crate's
-/// `obs` feature is off, and is a cheap early-out when no sink is set.
-#[macro_export]
-macro_rules! obs_event {
-    ($name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        #[cfg(feature = "obs")]
-        {
-            if $crate::event_sink_active() {
-                $crate::emit(
-                    $name,
-                    vec![$((stringify!($key), $crate::Value::from($val))),*],
-                );
-            }
-        }
-        #[cfg(not(feature = "obs"))]
-        {
-            let _ = (&$name $(, &$val)*);
         }
     }};
 }

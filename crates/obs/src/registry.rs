@@ -1,6 +1,6 @@
 //! Metric registries and snapshots.
 
-use crate::events::json_escape;
+use crate::value::json_escape;
 use crate::{Counter, Histogram, HistogramSummary};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

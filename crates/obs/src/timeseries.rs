@@ -40,7 +40,7 @@ const EMPTY_TICK: u64 = u64::MAX;
 /// `rbpc-obs` where the wall-clock lint allows it.
 #[inline]
 pub fn monotonic_ns() -> u64 {
-    crate::events::epoch_nanos()
+    crate::trace::epoch_nanos()
 }
 
 /// Mints window ticks from real elapsed time.

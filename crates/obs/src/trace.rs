@@ -10,18 +10,33 @@
 //! [`TraceId`] and becomes a trace root.
 //!
 //! Collection is opt-in and cheap when off: [`TraceSpan::enter`] checks one
-//! atomic load and returns `None` unless [`start_tracing`] has been called,
-//! so un-traced runs pay one branch per instrumentation point. Finished
-//! spans are pushed as [`SpanRecord`]s into a global buffer drained by
-//! [`stop_tracing`] / [`take_spans`]; exporters live in
-//! [`chrome`](crate::chrome_trace_json) and [`TraceTree`](crate::TraceTree).
+//! atomic load and returns `None` unless spans are being buffered
+//! ([`start_tracing`]) or streamed ([`set_span_stream`]), so un-traced runs
+//! pay one branch per instrumentation point. A finished span goes to
+//! either or both: as a [`SpanRecord`] into the global buffer drained by
+//! [`stop_tracing`] / [`take_spans`], and as one JSON line into the
+//! stream. Exporters live in [`chrome`](crate::chrome_trace_json) and
+//! [`TraceTree`](crate::TraceTree).
 
-use crate::events::epoch_nanos;
+use crate::chrome::write_span;
 use crate::Value;
 use std::cell::Cell;
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
+
+/// The process's observability epoch (set at first use, shared by trace
+/// spans and time-series windows so their timestamps are comparable).
+fn epoch() -> Instant {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    *EPOCH.get_or_init(Instant::now)
+}
+
+/// Nanoseconds since the process's observability epoch.
+pub(crate) fn epoch_nanos() -> u64 {
+    u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
 
 /// Identity of one trace (one restoration, end to end).
 ///
@@ -92,33 +107,88 @@ thread_local! {
     static CURRENT: Cell<Option<(TraceId, SpanId)>> = const { Cell::new(None) };
 }
 
+/// Set while the collector buffers or streams: `buffer.is_some() ||
+/// stream.is_some()`, kept in step under the collector's lock.
 static TRACING_ACTIVE: AtomicBool = AtomicBool::new(false);
 
-fn collector() -> &'static Mutex<Vec<SpanRecord>> {
-    static SPANS: OnceLock<Mutex<Vec<SpanRecord>>> = OnceLock::new();
-    SPANS.get_or_init(|| Mutex::new(Vec::new()))
+/// Where finished spans go.
+struct Collector {
+    /// Spans kept for [`stop_tracing`] / [`take_spans`], while buffering.
+    buffer: Option<Vec<SpanRecord>>,
+    /// The writer each finished span is streamed to as one JSON line.
+    stream: Option<Box<dyn Write + Send>>,
 }
 
-/// Starts collecting spans, clearing anything previously buffered.
+impl Collector {
+    fn update_active(&self) {
+        let active = self.buffer.is_some() || self.stream.is_some();
+        TRACING_ACTIVE.store(active, Ordering::Release);
+    }
+
+    /// Streams and buffers one finished span. Stream I/O errors are
+    /// swallowed: tracing must never take down the traced program.
+    fn finish(&mut self, record: SpanRecord) {
+        if let Some(stream) = &mut self.stream {
+            let mut line = String::with_capacity(160);
+            write_span(&mut line, &record);
+            line.push('\n');
+            let _ = stream.write_all(line.as_bytes());
+        }
+        if let Some(buffer) = &mut self.buffer {
+            buffer.push(record);
+        }
+    }
+}
+
+static COLLECTOR: Mutex<Collector> = Mutex::new(Collector {
+    buffer: None,
+    stream: None,
+});
+
+fn collector() -> MutexGuard<'static, Collector> {
+    COLLECTOR.lock().unwrap()
+}
+
+/// Starts buffering spans, clearing anything previously buffered.
 pub fn start_tracing() {
-    collector().lock().unwrap().clear();
-    TRACING_ACTIVE.store(true, Ordering::Release);
+    let mut c = collector();
+    c.buffer = Some(Vec::new());
+    c.update_active();
 }
 
-/// Stops collecting and returns every span finished since
+/// Stops buffering and returns every span finished since
 /// [`start_tracing`]. Spans still open keep running but are only recorded
-/// if tracing is active again when they drop.
+/// if tracing is active again when they drop. A span stream set with
+/// [`set_span_stream`] keeps streaming.
 pub fn stop_tracing() -> Vec<SpanRecord> {
-    TRACING_ACTIVE.store(false, Ordering::Release);
-    std::mem::take(&mut *collector().lock().unwrap())
+    let mut c = collector();
+    let spans = c.buffer.take().unwrap_or_default();
+    c.update_active();
+    spans
 }
 
-/// Drains the buffered spans without deactivating collection.
+/// Drains the buffered spans without stopping collection.
 pub fn take_spans() -> Vec<SpanRecord> {
-    std::mem::take(&mut *collector().lock().unwrap())
+    collector()
+        .buffer
+        .as_mut()
+        .map(std::mem::take)
+        .unwrap_or_default()
 }
 
-/// True while [`start_tracing`] is in effect — the one-atomic-load guard
+/// Installs (or, with `None`, flushes and removes) the span stream: every
+/// span finished from now on is written to it as one JSON line, the same
+/// object [`chrome_trace_json`](crate::chrome_trace_json) puts in its
+/// `traceEvents` array. Streaming turns tracing on without buffering.
+pub fn set_span_stream(stream: Option<Box<dyn Write + Send>>) {
+    let mut c = collector();
+    if let Some(mut old) = std::mem::replace(&mut c.stream, stream) {
+        let _ = old.flush();
+    }
+    c.update_active();
+}
+
+/// True while spans are buffered or streamed — the one-atomic-load guard
 /// every instrumentation point checks first.
 #[inline]
 pub fn tracing_active() -> bool {
@@ -215,7 +285,7 @@ impl Drop for TraceSpan {
         };
         // Re-check: tracing may have stopped while the span was open.
         if tracing_active() {
-            collector().lock().unwrap().push(record);
+            collector().finish(record);
         }
     }
 }

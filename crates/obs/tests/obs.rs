@@ -1,9 +1,14 @@
 //! Integration tests for the observability layer: concurrency, quantile
-//! correctness, span nesting (including unwinding), and the JSONL format.
+//! correctness, span nesting (including unwinding), and the JSONL span
+//! stream.
 
-use rbpc_obs::{obs_span, Counter, Event, Histogram, JsonlSink, Registry, Value};
+use rbpc_obs::json;
+use rbpc_obs::{
+    chrome_trace_json, obs_span, set_span_stream, start_tracing, stop_tracing, take_spans,
+    tracing_active, Counter, Histogram, Registry, TraceSpan,
+};
 use std::io::{self, Write};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 #[test]
 fn counter_is_correct_under_contention() {
@@ -112,7 +117,7 @@ fn span_records_even_when_unwinding() {
 }
 
 /// A writer capturing everything for inspection.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 struct Capture(Arc<Mutex<Vec<u8>>>);
 
 impl Write for Capture {
@@ -125,55 +130,70 @@ impl Write for Capture {
     }
 }
 
+/// Streams the spans `run` finishes; returns the stream's text. Holds a
+/// lock, since the span collector is process-global.
+fn streamed(run: impl FnOnce()) -> String {
+    static LOCK: Mutex<()> = Mutex::new(());
+    let _serial = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let buf = Capture::default();
+    set_span_stream(Some(Box::new(buf.clone())));
+    run();
+    set_span_stream(None);
+    assert!(!tracing_active());
+    let text = buf.0.lock().unwrap().clone();
+    String::from_utf8(text).unwrap()
+}
+
 #[test]
 fn jsonl_golden_line() {
-    let buf = Capture(Arc::new(Mutex::new(Vec::new())));
-    let sink = JsonlSink::new(buf.clone());
-    sink.emit(&Event {
-        name: "restore_done",
-        ts_us: 1_234,
-        fields: vec![
-            ("src", Value::from(0usize)),
-            ("dst", Value::from(9usize)),
-            ("affected", Value::from(true)),
-            ("segments", Value::from(2usize)),
-        ],
+    let mut ids = (0, 0);
+    let text = streamed(|| {
+        let mut root = TraceSpan::enter("restore.source", "restore").expect("streaming traces");
+        root.attr("src", 0usize);
+        root.attr("affected", true);
+        root.attr("note", "a\"b");
+        root.attr("ratio", f64::NAN);
+        ids = (root.trace().value(), root.span().value());
     });
-    drop(sink);
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    // Mask the clock readings, `"ts":…,"dur":…`.
+    let (head, rest) = text.split_once(",\"ts\":").expect("ts");
+    let (_, tail) = rest.split_once(",\"pid\":").expect("pid");
+    let (trace, span) = ids;
     assert_eq!(
-        text,
-        "{\"event\":\"restore_done\",\"ts_us\":1234,\"src\":0,\"dst\":9,\
-         \"affected\":true,\"segments\":2}\n"
+        format!("{head},\"pid\":{tail}"),
+        format!(
+            "{{\"name\":\"restore.source\",\"cat\":\"restore\",\"ph\":\"X\",\"pid\":1,\
+             \"tid\":{trace},\"args\":{{\"trace\":{trace},\"span\":{span},\"src\":0,\
+             \"affected\":true,\"note\":\"a\\\"b\",\"ratio\":null}}}}\n"
+        )
     );
 }
 
 #[test]
 fn jsonl_stream_is_one_parseable_object_per_line() {
-    let buf = Capture(Arc::new(Mutex::new(Vec::new())));
-    let sink = JsonlSink::new(buf.clone());
-    for i in 0..50usize {
-        sink.emit(&Event::now(
-            "tick",
-            vec![("i", Value::from(i)), ("label", Value::from("a\"b\nc"))],
-        ));
-    }
-    drop(sink);
-    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let mut buffered = Vec::new();
+    let text = streamed(|| {
+        drop(TraceSpan::enter("alone", "test").expect("streaming traces"));
+        assert!(take_spans().is_empty(), "streaming alone buffers nothing");
+        start_tracing();
+        for i in 0..50usize {
+            let mut root = TraceSpan::enter("tick", "test").unwrap();
+            root.attr("i", i);
+            root.attr("label", "a\"b\nc");
+            drop(TraceSpan::enter("tock", "test").unwrap());
+        }
+        buffered = stop_tracing();
+        assert!(tracing_active(), "the stream keeps tracing on");
+    });
+    assert_eq!(buffered.len(), 100);
     let lines: Vec<&str> = text.lines().collect();
-    assert_eq!(lines.len(), 50);
-    for (i, line) in lines.iter().enumerate() {
-        // Minimal JSON object validation: balanced braces, quoted keys,
-        // no raw control characters.
-        assert!(line.starts_with('{') && line.ends_with('}'), "line {i}");
-        assert!(!line.contains('\n') && !line.contains('\r'), "line {i}");
-        assert!(line.contains("\"event\":\"tick\""), "line {i}");
-        assert!(line.contains(&format!("\"i\":{i}")), "line {i}");
-        assert!(line.contains("\"label\":\"a\\\"b\\nc\""), "line {i}");
-        assert_eq!(
-            line.matches('{').count(),
-            line.matches('}').count(),
-            "line {i}"
-        );
+    for line in &lines {
+        json::parse(line).expect("one JSON object per line");
     }
+    assert!(lines[0].starts_with("{\"name\":\"alone\""));
+    assert!(lines[2].contains("\"label\":\"a\\\"b\\nc\""));
+    // With both on, the stream holds the buffered spans in order, byte
+    // for byte the `traceEvents` elements `chrome_trace_json` writes.
+    let exported = chrome_trace_json(&buffered);
+    assert!(exported.ends_with(&format!(",{}]}}", lines[1..].join(","))));
 }

@@ -76,9 +76,8 @@ RECORDER_OVERHEAD="flight_recorder/isp_200/restore_on,flight_recorder/isp_200/re
 # The batched SPT kernel's claim: a 32-source provisioning batch through
 # `full_tree_batch` (8-byte compacted edges, a two-level-queue sweep,
 # packed records) beats the scalar per-source `full_tree` loop by at
-# least 1.3x on both gated topologies. gnm_1000 is weighted, so its
-# `batched` row runs the scalar loop per source and times the same loop
-# as its `scalar` row. Both rows are single-threaded, so unlike the
+# least 1.3x on both gated topologies, each a unit-weight graph so the
+# `batched` row runs the unit sweep. Both rows are single-threaded, so unlike the
 # par_provision rules below this ratio is core-count independent and
 # needs no nproc gate — it must hold even on a 1-core runner (min_ns
 # comparison filters scheduler noise).

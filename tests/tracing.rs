@@ -3,21 +3,31 @@
 //! well-formed trace per restoration — correctly nested, spanning at least
 //! four categories — and that the Chrome export parses and round-trips.
 //!
-//! The span collector is process-global, so the whole scenario lives in a
-//! single `#[test]` (this file is its own test binary, isolated from other
-//! integration tests).
+//! A second test checks that the restore and table-write spans carry the
+//! outcome of what they timed.
+//!
+//! The span collector is process-global, so the tests take a lock (this
+//! file is its own test binary, isolated from other integration tests).
 
 #![cfg(feature = "obs")]
 
-use mpls_rbpc::core::{BasePathOracle, DenseBasePaths};
+use mpls_rbpc::core::{end_route, BasePathOracle, DenseBasePaths, ProvisionedDomain, Restorer};
 use mpls_rbpc::graph::{CostModel, FailureSet, Metric, NodeId};
 use mpls_rbpc::obs::json::JsonValue;
 use mpls_rbpc::obs::{self, json, TraceTree, Value};
 use mpls_rbpc::sim::{outage_under, LatencyModel, Scheme};
 use mpls_rbpc::topo::gnm_connected;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests that use the process-global span collector.
+fn collector_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 fn multi_failure_traces_are_wellformed() {
+    let _serial = collector_lock();
     let graph = gnm_connected(40, 110, 9, 11);
     let oracle = DenseBasePaths::build(graph.clone(), CostModel::new(Metric::Weighted, 11));
     let pairs = mpls_rbpc::eval::sample_pairs(&graph, 30, 11);
@@ -145,4 +155,63 @@ fn multi_failure_traces_are_wellformed() {
     assert_eq!(metadata, trees.len(), "one named row per trace");
     let reprinted = parsed.to_string();
     assert_eq!(json::parse(&reprinted).unwrap(), parsed);
+}
+
+#[test]
+fn restore_and_table_spans_carry_their_outcome() {
+    let _serial = collector_lock();
+    let graph = gnm_connected(30, 80, 9, 5);
+    let oracle = DenseBasePaths::build(graph.clone(), CostModel::new(Metric::Weighted, 5));
+    let restorer = Restorer::new(&oracle);
+    let (s, t) = (NodeId::new(0), NodeId::new(29));
+    let base = oracle.base_path(s, t).expect("connected");
+    assert!(base.hop_count() >= 3);
+    let failed = base.edges()[1];
+    let failures = FailureSet::of_edge(failed);
+
+    obs::start_tracing();
+    // Provisioning rewrites FECs through the LSP chain (pair LSPs) and
+    // through raw labels (the merged set); the local detour splices.
+    let mut dom = ProvisionedDomain::new(&oracle);
+    dom.provision_all_pairs(&oracle).unwrap();
+    dom.provision_merged(&oracle).unwrap();
+    let r = restorer.restore(s, t, &failures).expect("restorable");
+    dom.apply_source_restoration(&r).unwrap();
+    let lr = end_route(&oracle, &base, failed, &failures).expect("a local detour");
+    dom.apply_local_restoration(dom.lsp_for_pair(s, t).unwrap(), &lr)
+        .unwrap();
+    let err = restorer.restore(s, t, &FailureSet::of_nodes([s.index()]));
+    let spans = obs::stop_tracing();
+
+    let roots: Vec<_> = spans
+        .iter()
+        .filter(|sp| sp.name == "restore.source")
+        .collect();
+    let affected = roots
+        .iter()
+        .find(|sp| sp.attr("affected") == Some(&Value::Bool(true)))
+        .expect("the affected restore's root span");
+    let depth = Value::from(r.concatenation.len());
+    assert_eq!(affected.attr("stack_depth"), Some(&depth));
+    let raw = Value::from(r.concatenation.raw_edge_count());
+    assert_eq!(affected.attr("raw_edges"), Some(&raw));
+    let error = Value::Str(err.unwrap_err().to_string());
+    assert!(roots.iter().any(|sp| sp.attr("error") == Some(&error)));
+
+    let mut writes = [0usize; 3];
+    for span in &spans {
+        let (slot, target) = match span.name {
+            "mpls.fec_rewrite" => (usize::from(span.attr("lsps").is_none()), "dest"),
+            "mpls.ilm_splice" => (2, "label"),
+            _ => continue,
+        };
+        writes[slot] += 1;
+        for key in ["router", "stack_depth", target] {
+            assert!(span.attr(key).is_some(), "{key} missing: {span:?}");
+        }
+    }
+    assert!(
+        writes.iter().all(|&n| n > 0),
+        "chain rewrites, raw rewrites and splices: {writes:?}"
+    );
 }
